@@ -152,11 +152,11 @@ void Run(const Options& opts) {
   }
   emit("faulty", Measure(system, periods, opts.reps));
 
-  // Conservative-parallel scaling: the identical fault-free run at shard
-  // counts {1, 2, 4, 8}. The fingerprint column is the point, not garnish —
+  // Shard-count scaling: the identical fault-free run at shard counts
+  // {1, 2, 4, 8}. Windows run sequentially, so the curve is the window
+  // bookkeeping cost. The fingerprint column is the point, not garnish —
   // any divergence across shard counts is a determinism bug and fails the
-  // bench. host_cores is recorded so a flat curve on a small host reads as
-  // what it is, not as a regression.
+  // bench.
   system.ClearFaults();
   const unsigned host_cores = std::thread::hardware_concurrency();
   uint64_t scale_fp = 0;

@@ -145,6 +145,17 @@ StatusOr<ExperimentSpec> SynthesizeSpec(const Options& opts) {
   return spec;
 }
 
+// Milliseconds in `format`, or "never" for the -1 "unset" sentinel of the
+// fault latencies (any negative value).
+std::string LatencyMs(SimDuration latency, const char* format) {
+  if (latency < 0) {
+    return "never";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), format, ToMillisF(latency));
+  return buf;
+}
+
 void PrintPhaseReport(size_t phase, const RunReport& report) {
   std::printf("\nphase %zu: %llu periods (%.2f s simulated, %llu events)\n", phase,
               static_cast<unsigned long long>(report.periods),
@@ -160,11 +171,11 @@ void PrintPhaseReport(size_t phase, const RunReport& report) {
               static_cast<unsigned long long>(c.incorrect_missing),
               static_cast<unsigned long long>(c.shed_instances));
   for (const auto& fault : report.faults) {
-    std::printf("fault %s (%s): detection %+.2f ms, distribution %+.2f ms, "
-                "recovery %.2f ms\n",
+    std::printf("fault %s (%s): detection %s, distribution %s, recovery %s\n",
                 ToString(fault.node).c_str(), FaultBehaviorName(fault.behavior),
-                ToMillisF(fault.detection_latency), ToMillisF(fault.distribution_latency),
-                ToMillisF(fault.recovery_time));
+                LatencyMs(fault.detection_latency, "%+.2f ms").c_str(),
+                LatencyMs(fault.distribution_latency, "%+.2f ms").c_str(),
+                LatencyMs(fault.recovery_time, "%.2f ms").c_str());
   }
   if (report.install.started_at != kSimTimeNever) {
     const InstallRunReport& ir = report.install;
@@ -231,6 +242,23 @@ bool AnyViolation(const ExperimentReport& report) {
   return false;
 }
 
+uint64_t CorrectInstances(const ExperimentReport& report) {
+  uint64_t correct = 0;
+  for (const RunReport& phase : report.phases) {
+    correct += phase.correctness.correct_instances;
+  }
+  return correct;
+}
+
+// A run that served no sink instance cannot have been wrong, so
+// Definition 3.1 holds only vacuously there; say so instead of "holds".
+const char* Verdict(bool violated, uint64_t correct, const char* vacuous) {
+  if (violated) {
+    return "VIOLATED";
+  }
+  return correct == 0 ? vacuous : "holds";
+}
+
 // Sweep runner: expands the spec's axes through the experiment service —
 // parallel job lanes over the fingerprint-keyed strategy cache — prints
 // the summary table, and emits one BENCH_JSON row (aggregate throughput +
@@ -267,7 +295,7 @@ int RunSweep(const ExperimentSpec& spec, const Options& opts) {
     table.AddRow({job.name, std::to_string(job.modes),
                   std::to_string(job.correct) + "/" + std::to_string(job.expected),
                   CellDouble(ToMillisF(job.worst_recovery), 2) + " ms",
-                  job.violated ? "VIOLATED" : "holds", fp_hex});
+                  Verdict(job.violated, job.correct, "vacuous"), fp_hex});
     if (job.violated) {
       ++failures;
     }
@@ -509,7 +537,8 @@ int main(int argc, char** argv) {
   }
   const bool violated = AnyViolation(*report);
   std::printf("\nDefinition 3.1 (R = %.0f ms): %s\n", ToMillisF(spec.recovery_bound),
-              violated ? "VIOLATED" : "holds");
+              Verdict(violated, CorrectInstances(*report),
+                      "vacuous (no sink instance served)"));
   std::printf("experiment fingerprint: %016llx\n",
               static_cast<unsigned long long>(FingerprintExperimentReport(*report)));
   return violated ? 1 : 0;

@@ -12,23 +12,17 @@
 // object's control block embeds a copy, so the pool outlives the last
 // payload no matter where the simulation stashes it.
 //
-// Threading: by default a pool is single-threaded, like the exclusive
-// simulator path that owns it. The sharded data plane gives each shard its
-// own arena and calls BindOwnerShard; payload blocks are then allocated on
-// the owning shard but may be released on the *receiver's* shard when a
-// delivered message drops its last reference. Foreign releases push the
-// block onto a lock-free Treiber stack (push-only producers, swap-all
-// consumer, so no ABA window) that the owner drains on its next allocation.
+// Threading: a pool is single-threaded, like the simulation that owns it.
+// The sharded data plane runs its windows sequentially on one thread, so
+// one arena serves every shard and every release goes straight back to
+// the plain freelist.
 
 #ifndef BTR_SRC_COMMON_BLOCK_POOL_H_
 #define BTR_SRC_COMMON_BLOCK_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
-
-#include "src/common/exec_context.h"
 
 namespace btr {
 
@@ -44,23 +38,9 @@ class BlockPool {
     }
   }
 
-  // Marks this pool as owned by `shard`: releases from any other shard's
-  // worker thread go through the lock-free foreign-return stack instead of
-  // the plain freelist. Exclusive-path releases (driver events, post-run
-  // teardown) always use the plain freelist — the workers are parked then.
-  void BindOwnerShard(uint32_t shard) {
-    owner_shard_ = shard;
-    concurrent_returns_ = true;
-  }
-
   void* Allocate(size_t bytes) {
     const size_t cls = SizeClass(bytes);
     if (cls >= free_.size() || free_[cls].empty()) {
-      if (concurrent_returns_ && DrainForeign() && cls < free_.size() && !free_[cls].empty()) {
-        void* block = free_[cls].back();
-        free_[cls].pop_back();
-        return block;
-      }
       void* block = ::operator new(ClassBytes(cls));
       all_blocks_.push_back(block);
       return block;
@@ -72,13 +52,6 @@ class BlockPool {
 
   void Deallocate(void* p, size_t bytes) {
     const size_t cls = SizeClass(bytes);
-    if (concurrent_returns_) {
-      const ExecContext& exec = ThisThreadExec();
-      if (exec.worker && exec.shard != owner_shard_) {
-        PushForeign(p, cls);
-        return;
-      }
-    }
     if (cls >= free_.size()) {
       free_.resize(cls + 1);
     }
@@ -88,43 +61,6 @@ class BlockPool {
   size_t allocated_blocks() const { return all_blocks_.size(); }
 
  private:
-  // Every block is at least 32 bytes, so a freed block has room for the
-  // intrusive foreign-stack link: next pointer + size class.
-  struct ForeignLink {
-    ForeignLink* next;
-    size_t cls;
-  };
-  static_assert(sizeof(ForeignLink) <= 32, "freed blocks must fit the link");
-
-  void PushForeign(void* p, size_t cls) {
-    auto* link = static_cast<ForeignLink*>(p);
-    link->cls = cls;
-    ForeignLink* head = foreign_head_.load(std::memory_order_relaxed);
-    do {
-      link->next = head;
-    } while (!foreign_head_.compare_exchange_weak(head, link, std::memory_order_release,
-                                                  std::memory_order_relaxed));
-  }
-
-  // Owner-side drain: detach the whole stack at once. Returns true if any
-  // block came back.
-  bool DrainForeign() {
-    ForeignLink* head = foreign_head_.exchange(nullptr, std::memory_order_acquire);
-    if (head == nullptr) {
-      return false;
-    }
-    while (head != nullptr) {
-      ForeignLink* next = head->next;
-      const size_t cls = head->cls;
-      if (cls >= free_.size()) {
-        free_.resize(cls + 1);
-      }
-      free_[cls].push_back(head);
-      head = next;
-    }
-    return true;
-  }
-
   // Size classes are powers of two from 32 bytes up; class i holds blocks
   // of 32 << i bytes.
   static size_t SizeClass(size_t bytes) {
@@ -140,9 +76,6 @@ class BlockPool {
 
   std::vector<std::vector<void*>> free_;
   std::vector<void*> all_blocks_;
-  bool concurrent_returns_ = false;
-  uint32_t owner_shard_ = 0;
-  alignas(64) std::atomic<ForeignLink*> foreign_head_{nullptr};
 };
 
 template <typename T>

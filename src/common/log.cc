@@ -3,15 +3,12 @@
 #include <cstdio>
 #include <mutex>
 
-#include "src/common/exec_context.h"
-
 namespace btr {
 namespace {
 
 LogLevel g_level = LogLevel::kOff;
 // Thread-local: the sweep service runs one simulator per concurrent job,
-// each registering its own clock from its own thread. Shard workers never
-// read this (they carry their clock in ExecContext).
+// each registering its own clock from its own thread.
 thread_local const SimTime* g_now = nullptr;
 std::mutex g_emit_mu;
 
@@ -45,13 +42,9 @@ void LogLine(LogLevel level, const std::string& component, const std::string& me
   if (!LogEnabled(level)) {
     return;
   }
-  // Shard workers carry their own clock in TLS; the global time source is
-  // only safe to read on the exclusive path.
-  const ExecContext& exec = ThisThreadExec();
-  const SimTime* now = exec.worker ? exec.now : g_now;
   std::lock_guard<std::mutex> lock(g_emit_mu);
-  if (now != nullptr) {
-    std::fprintf(stderr, "[%s %12.6fs %-10s] %s\n", LevelName(level), ToSecondsF(*now),
+  if (g_now != nullptr) {
+    std::fprintf(stderr, "[%s %12.6fs %-10s] %s\n", LevelName(level), ToSecondsF(*g_now),
                  component.c_str(), message.c_str());
   } else {
     std::fprintf(stderr, "[%s %-10s] %s\n", LevelName(level), component.c_str(), message.c_str());

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace btr {
 
 struct ThreadPool::Ticket::Batch {
@@ -25,21 +20,8 @@ struct ThreadPool::Job {
 namespace {
 
 // Set for the lifetime of every pool worker thread (any pool instance):
-// nested Dispatch calls run inline instead of deadlocking the pool, and the
-// sharded simulator checks it to pick its sequential window path.
+// nested Dispatch calls run inline instead of deadlocking the pool.
 thread_local bool tls_on_pool_worker = false;
-
-void PinToCore(size_t core) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  // Best effort: containers with restricted affinity masks may refuse.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
 
 }  // namespace
 
@@ -93,11 +75,8 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: worker threads may outlive every static destructor.
-  static ThreadPool* pool = [] {
-    auto* p = new ThreadPool(std::max<size_t>(1, std::thread::hardware_concurrency()));
-    p->pin_workers_ = std::thread::hardware_concurrency() > 1;
-    return p;
-  }();
+  static ThreadPool* pool =
+      new ThreadPool(std::max<size_t>(1, std::thread::hardware_concurrency()));
   return *pool;
 }
 
@@ -114,8 +93,7 @@ size_t ThreadPool::busy_workers() const {
 bool ThreadPool::OnWorkerThread() { return tls_on_pool_worker; }
 
 void ThreadPool::SpawnWorkerLocked() {
-  const size_t index = workers_.size();
-  workers_.emplace_back([this, index] { WorkerLoop(index); });
+  workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 void ThreadPool::EnsureWorkers(size_t workers) {
@@ -134,12 +112,8 @@ void ThreadPool::ReserveWorkers(size_t workers) {
   thread_count_ = std::max(thread_count_, workers_.size());
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
+void ThreadPool::WorkerLoop() {
   tls_on_pool_worker = true;
-  if (pin_workers_) {
-    const size_t cores = std::max<size_t>(1, std::thread::hardware_concurrency());
-    PinToCore(worker_index % cores);
-  }
   for (;;) {
     Job job;
     {

@@ -1,28 +1,23 @@
-// The process-wide worker pool shared by the planner and the simulator.
+// The process-wide worker pool shared by the planner and the sweep service.
 //
 // Planning a strategy is embarrassingly parallel within one fault-set level
 // (all level-k modes depend only on level k-1), so the StrategyBuilder
-// submits each wave as a blocking ParallelFor batch. The sharded simulator
-// additionally needs long-lived shard loops that run concurrently with the
-// coordinator thread, so the pool also exposes a non-blocking Dispatch that
-// returns a Ticket to wait on. Batches are independent: each tracks its own
-// completion count and first error, so a planner wave and a simulation run
-// never wait on each other's jobs.
+// submits each wave as a blocking ParallelFor batch. The sweep service runs
+// whole experiment jobs as pool jobs on `--jobs N` lanes. Batches are
+// independent: each tracks its own completion count and first error, and
+// the pool also exposes a non-blocking Dispatch that returns a Ticket to
+// wait on.
 //
-// `ThreadPool::Shared()` is the one instance both subsystems fold onto; its
-// workers are pinned round-robin to cores (best effort, Linux only) so shard
-// loops do not migrate between windows.
+// `ThreadPool::Shared()` is the one instance both users fold onto.
 //
-// Nested use is safe by construction: the experiment service runs whole
-// sweep jobs as pool jobs, and each job plans (builder waves) and simulates
-// (shard loops) — on the same shared pool. A Dispatch issued *from* a pool
-// worker therefore runs its batch inline on that worker instead of
-// enqueueing, because every worker blocking in Ticket::Wait on jobs that no
-// free worker will ever pick up is a deadlock, not a queue. Callers that
-// must have genuinely concurrent helpers (the sharded simulator's window
-// handshake) reserve them with ReserveWorkers, which counts only idle
-// workers — a "reserved ticket" that cannot be starved by long-running
-// jobs already occupying the pool.
+// Nested use is safe by construction: each sweep job plans (builder waves)
+// on the same shared pool. A Dispatch issued *from* a pool worker therefore
+// runs its batch inline on that worker instead of enqueueing, because every
+// worker blocking in Ticket::Wait on jobs that no free worker will ever
+// pick up is a deadlock, not a queue. Callers that must have genuinely
+// concurrent helpers (the sweep service's job lanes) reserve them with
+// ReserveWorkers, which counts only idle workers — a "reserved ticket" that
+// cannot be starved by long-running jobs already occupying the pool.
 
 #ifndef BTR_SRC_COMMON_THREAD_POOL_H_
 #define BTR_SRC_COMMON_THREAD_POOL_H_
@@ -58,15 +53,13 @@ class ThreadPool {
   size_t thread_count() const { return thread_count_; }
   size_t worker_count() const;
 
-  // Grows the pool to at least `workers` worker threads. The sharded
-  // simulator calls this before dispatching one long-lived loop per shard;
-  // without the guarantee a queued-but-never-started shard loop would
-  // deadlock the window barrier.
+  // Grows the pool to at least `workers` worker threads (the planner's
+  // explicit thread request may exceed the host's core count).
   void EnsureWorkers(size_t workers);
 
   // Grows the pool until at least `workers` workers are *idle* right now.
   // EnsureWorkers only bounds the total, which is not enough once
-  // long-running jobs (sweep jobs, shard loops) occupy workers: a batch
+  // long-running jobs (sweep jobs) occupy workers: a batch
   // that needs genuinely concurrent helpers would queue behind them
   // forever. Callers dispatch immediately after reserving; jobs enqueued
   // concurrently from other threads can still race for the new workers,
@@ -76,8 +69,8 @@ class ThreadPool {
 
   // True when called on one of this process's pool worker threads (any
   // pool). Nested Dispatch/ParallelFor calls detect themselves with this
-  // and run inline; subsystems with long-lived loops (the sharded
-  // simulator) use it to fall back to their sequential path.
+  // and run inline; the sweep service uses it to run a nested sweep on its
+  // caller's lane.
   static bool OnWorkerThread();
 
   // Workers currently executing a job (approximate the moment it returns).
@@ -114,10 +107,9 @@ class ThreadPool {
 
   static void ExecuteAndRetire(Job& job);
   void SpawnWorkerLocked();
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
   size_t thread_count_ = 1;
-  bool pin_workers_ = false;
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

@@ -260,7 +260,6 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   KeyStore keys(scenario_->topology.node_count(), &key_rng);
   Monitor monitor(&scenario_->workload, strategy_.get(), &adversary_,
                   config_.planner.recovery_bound);
-  monitor.ConfigureShards(sim.shard_count());
   monitor.ReserveObservations(periods * scenario_->workload.SinkIds().size());
 
   RuntimeContext ctx;

@@ -49,7 +49,7 @@ struct BtrConfig {
   PlannerConfig planner;
   RuntimeConfig runtime;
   uint64_t seed = 1;
-  // Simulation shards (parallel data plane). 0 = auto (1 for small
+  // Simulation shards (conservative windows). 0 = auto (1 for small
   // scenarios, 8 for >= 16 nodes). Reports are byte-identical for every
   // value — sharding is a speed knob, never a semantics knob.
   uint32_t shards = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/common/exec_context.h"
-
 namespace btr {
 
 Monitor::Monitor(const Dataflow* workload, const Strategy* strategy,
@@ -15,31 +13,12 @@ Monitor::Monitor(const Dataflow* workload, const Strategy* strategy,
       recovery_bound_(recovery_bound),
       oracle_(workload) {}
 
-void Monitor::ConfigureShards(uint32_t shards) {
-  observations_.clear();
-  observations_.resize(std::max<uint32_t>(1, shards));
-}
-
 void Monitor::RecordSinkOutput(TaskId sink, uint64_t period, uint64_t digest, SimTime at) {
   // Keep the first output per instance; duplicates would only arise from a
   // faulty sink node re-actuating, which the physical world would also see
   // first-command.
-  const uint32_t shard = ThisThreadExec().worker ? ThisThreadExec().shard : 0;
-  assert(shard < observations_.size());
-  observations_[shard].map.Emplace(PackIdPeriod(sink.value(), period),
-                                   SinkObservation{sink, period, digest, at});
-}
-
-const SinkObservation* Monitor::FindObservation(uint64_t key) const {
-  // A sink's outputs always land in its own shard's table, so at most one
-  // table holds the key; linear probing over the handful of shards is fine
-  // for the post-run evaluation loops.
-  for (const ObservationShard& shard : observations_) {
-    if (const SinkObservation* obs = shard.map.Find(key)) {
-      return obs;
-    }
-  }
-  return nullptr;
+  observations_.Emplace(PackIdPeriod(sink.value(), period),
+                        SinkObservation{sink, period, digest, at});
 }
 
 bool MissPattern::SatisfiesMK(uint64_t m, uint64_t k) const {
@@ -73,7 +52,7 @@ MissPattern Monitor::SinkMissPattern(TaskId sink, uint64_t periods) const {
     if (plan == nullptr || !plan->ServesSink(sink)) {
       continue;  // shed: not an expected instance
     }
-    const SinkObservation* obs = FindObservation(PackIdPeriod(sink.value(), p));
+    const SinkObservation* obs = observations_.Find(PackIdPeriod(sink.value(), p));
     const bool ok = obs != nullptr && obs->digest == oracle_.Golden(sink, p) &&
                     obs->at <= deadline;
     pattern.correct.push_back(ok);
@@ -159,7 +138,7 @@ CorrectnessReport Monitor::Evaluate(uint64_t periods) const {
         continue;
       }
       const bool expected = plan != nullptr && plan->ServesSink(sink);
-      const SinkObservation* obs = FindObservation(PackIdPeriod(sink.value(), p));
+      const SinkObservation* obs = observations_.Find(PackIdPeriod(sink.value(), p));
       if (!expected) {
         // A shed sink may correctly fail *silently* (Definition 3.1's
         // mixed-criticality extension), but an actuation an honest sink node

@@ -83,19 +83,9 @@ class Monitor {
   // Runtime hooks.
   void RecordSinkOutput(TaskId sink, uint64_t period, uint64_t digest, SimTime at);
 
-  // Splits the observation table per shard so concurrent shard workers never
-  // share a map. A given sink always actuates on its pinned node's shard, so
-  // each (sink, period) key still has exactly one writer and lands in exactly
-  // one table. Call before the run starts.
-  void ConfigureShards(uint32_t shards);
-
-  // Pre-sizes the observation tables for the expected number of sink
-  // instances, so a long run does not rehash them dozens of times.
-  void ReserveObservations(size_t expected) {
-    for (auto& shard : observations_) {
-      shard.map.reserve(expected / observations_.size() + 1);
-    }
-  }
+  // Pre-sizes the observation table for the expected number of sink
+  // instances, so a long run does not rehash it dozens of times.
+  void ReserveObservations(size_t expected) { observations_.reserve(expected); }
 
   // Evaluates the run over periods [0, periods).
   CorrectnessReport Evaluate(uint64_t periods) const;
@@ -119,15 +109,10 @@ class Monitor {
   const AdversarySpec* adversary_;
   SimDuration recovery_bound_;
   GoldenOracle oracle_;
-  // PackIdPeriod(sink, period) -> first observation, one table per shard
-  // (padded: adjacent shards' tables must not share a cache line). Only
-  // probed by key (evaluation loops run over (sink, period) explicitly), so
-  // hash order never reaches the report.
-  struct alignas(64) ObservationShard {
-    FlatMap64<SinkObservation> map;
-  };
-  const SinkObservation* FindObservation(uint64_t key) const;
-  std::vector<ObservationShard> observations_{1};
+  // PackIdPeriod(sink, period) -> first observation. Only probed by key
+  // (evaluation loops run over (sink, period) explicitly), so hash order
+  // never reaches the report.
+  FlatMap64<SinkObservation> observations_;
 };
 
 }  // namespace btr

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/common/exec_context.h"
 #include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/core/golden.h"
@@ -156,25 +155,15 @@ Status InstallEngine::ApplyPatch(const std::string& patch_text) {
 // BtrRuntime
 // ---------------------------------------------------------------------------
 
-BtrRuntime::BtrRuntime(const RuntimeContext& ctx) : ctx_(ctx) {
+BtrRuntime::BtrRuntime(const RuntimeContext& ctx)
+    : ctx_(ctx), arena_(std::make_shared<BlockPool>()) {
   assert(ctx_.sim != nullptr && ctx_.network != nullptr && ctx_.strategy != nullptr);
-  const uint32_t shards = ctx_.sim->shard_count();
-  arenas_.reserve(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    arenas_.push_back(std::make_shared<BlockPool>());
-    if (shards > 1) {
-      arenas_.back()->BindOwnerShard(s);
-    }
-  }
-  conviction_shards_.resize(shards);
-  install_shards_.resize(shards);
   const size_t n = ctx_.topo->node_count();
   nodes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const NodeId id(static_cast<uint32_t>(i));
-    nodes_.push_back(std::make_unique<NodeRuntime>(
-        this, ctx_, id, ctx_.keys->SignerFor(id),
-        arenas_[ctx_.sim->ShardOf(static_cast<uint32_t>(i))]));
+    nodes_.push_back(
+        std::make_unique<NodeRuntime>(this, ctx_, id, ctx_.keys->SignerFor(id), arena_));
     NodeRuntime* node = nodes_.back().get();
     ctx_.network->SetReceiver(id, [node](const Packet& packet) { node->OnPacket(packet); });
   }
@@ -366,20 +355,12 @@ void BtrRuntime::HandleInstallNack(NodeId from) {
 
 void BtrRuntime::NotifyInstalled(NodeId node) {
   (void)node;
-  const ExecContext& exec = ThisThreadExec();
-  InstallShard& sh = install_shards_[exec.worker ? exec.shard : 0];
-  ++sh.installed;
-  sh.last_at = std::max(sh.last_at, ctx_.sim->Now());
+  ++installed_;
+  last_installed_at_ = std::max(last_installed_at_, ctx_.sim->Now());
 }
 
 const InstallRunReport& BtrRuntime::install_report() const {
   install_report_final_ = install_report_;
-  size_t installed = 0;
-  SimTime last = -1;
-  for (const InstallShard& sh : install_shards_) {
-    installed += sh.installed;
-    last = std::max(last, sh.last_at);
-  }
   // Gossip counters: sums over the per-node agents, in node order — shard-
   // layout invariant by construction.
   if (ctx_.config.dissem.mode == DissemMode::kGossip && update_ != nullptr) {
@@ -393,11 +374,12 @@ const InstallRunReport& BtrRuntime::install_report() const {
     install_report_final_.patch_bytes_sent += install_report_final_.dissem.patch_payload_bytes;
     install_report_final_.full_bytes_sent += install_report_final_.dissem.full_payload_bytes;
   }
-  install_report_final_.nodes_installed = installed;
+  install_report_final_.nodes_installed = installed_;
   // Completion time is the moment the last node reached the target — a
-  // property of the event set, so the max over shards is layout-invariant.
-  install_report_final_.completed_at =
-      installed == nodes_.size() && installed > 0 ? last : kSimTimeNever;
+  // property of the event set, so the max is layout-invariant.
+  install_report_final_.completed_at = installed_ == nodes_.size() && installed_ > 0
+                                           ? last_installed_at_
+                                           : kSimTimeNever;
   return install_report_final_;
 }
 
@@ -424,33 +406,24 @@ NodeStats BtrRuntime::TotalStats() const {
 }
 
 void BtrRuntime::RecordConviction(const ConvictionEvent& event) {
-  const ExecContext& exec = ThisThreadExec();
-  conviction_shards_[exec.worker ? exec.shard : 0].items.push_back(event);
+  convictions_.push_back(event);
+  convictions_sorted_ = false;
 }
 
 const std::vector<ConvictionEvent>& BtrRuntime::convictions() const {
-  size_t total = 0;
-  for (const ConvictionShard& sh : conviction_shards_) {
-    total += sh.items.size();
-  }
-  // Buffers only grow, so a size mismatch is an exact staleness test.
-  if (convictions_merged_.size() != total) {
-    convictions_merged_.clear();
-    convictions_merged_.reserve(total);
-    for (const ConvictionShard& sh : conviction_shards_) {
-      convictions_merged_.insert(convictions_merged_.end(), sh.items.begin(), sh.items.end());
-    }
+  if (!convictions_sorted_) {
     // Canonical order. (convicted, by) pairs are unique — Convict() records
     // at most once per observer — so the order is total and layout-invariant.
-    std::sort(convictions_merged_.begin(), convictions_merged_.end(),
+    std::sort(convictions_.begin(), convictions_.end(),
               [](const ConvictionEvent& a, const ConvictionEvent& b) {
                 if (a.at != b.at) return a.at < b.at;
                 if (a.convicted != b.convicted) return a.convicted < b.convicted;
                 if (a.by != b.by) return a.by < b.by;
                 return static_cast<int>(a.kind) < static_cast<int>(b.kind);
               });
+    convictions_sorted_ = true;
   }
-  return convictions_merged_;
+  return convictions_;
 }
 
 SimTime BtrRuntime::FirstConvictionOf(NodeId node) const {

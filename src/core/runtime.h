@@ -244,14 +244,15 @@ class BtrRuntime {
   void ScheduleStrategyInstall(SimTime at, std::shared_ptr<const StrategyUpdate> update,
                                NodeId distributor,
                                InstallShipMode mode = InstallShipMode::kPatchSlices);
-  // Finalized from the per-shard completion tallies on every call.
+  // Finalized from the completion tally on every call.
   const InstallRunReport& install_report() const;
 
   const NodeStats& node_stats(NodeId node) const;
   NodeStats TotalStats() const;
-  // Convictions in canonical (at, convicted, by, kind) order — merged from
-  // the per-shard buffers, so the order (and every report built from it) is
-  // independent of the shard layout.
+  // Convictions in canonical (at, convicted, by, kind) order. They are
+  // recorded in execution order, which interleaves shard windows
+  // differently for each layout; sorting makes the order (and every report
+  // built from it) independent of the shard layout.
   const std::vector<ConvictionEvent>& convictions() const;
 
   // Earliest honest conviction of `node`; kSimTimeNever if never convicted.
@@ -277,27 +278,15 @@ class BtrRuntime {
   SimDuration EstimateInstallTx(NodeId dst, uint32_t bytes) const;
 
   RuntimeContext ctx_;
-  // Freelist arenas for message payloads, one per shard: a node's payloads
-  // come from its shard's arena, and a payload whose last reference dies on
-  // another shard rides the arena's lock-free foreign-return stack home.
+  // Freelist arena for message payloads, shared by every node.
   // shared_ptr: pooled payloads embed a handle, so in-flight messages keep
   // the arena alive past the runtime if needed.
-  std::vector<std::shared_ptr<BlockPool>> arenas_;
+  std::shared_ptr<BlockPool> arena_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
-  // Per-shard conviction buffers (single-writer: a conviction is recorded by
-  // the shard executing the convicting node), merged canonically on read.
-  struct alignas(64) ConvictionShard {
-    std::vector<ConvictionEvent> items;
-  };
-  std::vector<ConvictionShard> conviction_shards_;
-  mutable std::vector<ConvictionEvent> convictions_merged_;
-  // Per-shard install-completion tallies (NotifyInstalled runs on the
-  // installing node's shard); summed/maxed into the report on read.
-  struct alignas(64) InstallShard {
-    size_t installed = 0;
-    SimTime last_at = -1;
-  };
-  std::vector<InstallShard> install_shards_;
+  mutable std::vector<ConvictionEvent> convictions_;
+  mutable bool convictions_sorted_ = true;
+  size_t installed_ = 0;         // NotifyInstalled calls
+  SimTime last_installed_at_ = -1;
   mutable InstallRunReport install_report_final_;
   uint64_t periods_ = 0;
   // Active strategy rollout (install plane), if any.

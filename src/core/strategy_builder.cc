@@ -25,7 +25,7 @@ StatusOr<Strategy> StrategyBuilder::Build() {
 
   Strategy strategy;
   // Planning runs on the process-wide shared worker pool (the same pool the
-  // sharded simulator parks its shard loops on — batches are tracked
+  // sweep service runs its job lanes on — batches are tracked
   // independently, so the two never wait on each other); threads_ == 1
   // keeps the fully serial inline path.
   ThreadPool serial_pool(1);

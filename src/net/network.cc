@@ -45,11 +45,6 @@ Network::Network(Simulator* sim, const Topology* topo, NetworkConfig config)
   assert(config_.foreground_fraction + config_.evidence_fraction + config_.control_fraction <=
          1.0 + 1e-9);
   routing_ = std::make_shared<RoutingTable>(*topo);
-  const uint32_t shards = sim_->shard_count();
-  state_.reserve(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    state_.push_back(std::make_unique<ShardState>());
-  }
 }
 
 Network::~Network() = default;
@@ -86,41 +81,40 @@ SimDuration Network::SerializationTime(LinkId link, [[maybe_unused]] NodeId send
   return static_cast<SimDuration>(seconds * 1e9) + 1;
 }
 
-Packet* Network::AcquirePacket(ShardState& st) {
-  if (!st.packet_free.empty()) {
-    Packet* p = st.packet_free.back();
-    st.packet_free.pop_back();
+Packet* Network::AcquirePacket() {
+  if (!packet_free_.empty()) {
+    Packet* p = packet_free_.back();
+    packet_free_.pop_back();
     return p;
   }
-  st.packet_blocks.push_back(std::make_unique<Packet>());
-  return st.packet_blocks.back().get();
+  packet_blocks_.push_back(std::make_unique<Packet>());
+  return packet_blocks_.back().get();
 }
 
-void Network::ReleasePacket(ShardState& st, Packet* packet) {
+void Network::ReleasePacket(Packet* packet) {
   packet->payload.reset();  // drop the payload reference promptly
-  st.packet_free.push_back(packet);
+  packet_free_.push_back(packet);
 }
 
 MessageId Network::Send(NodeId src, NodeId dst, uint32_t size_bytes, TrafficClass cls,
                         PayloadPtr payload) {
   assert(src.valid() && dst.valid());
-  ShardState& st = CurrentState();
-  ++st.stats.packets_sent;
-  // Message ids are per-sender (single-writer on the sender's shard) and
-  // carry the sender in the top bits; they are diagnostics, never ordering.
-  const MessageId id((src.value() << 20) | (next_message_[src.value()].next++ & 0xFFFFF));
+  ++stats_.packets_sent;
+  // Message ids are per-sender and carry the sender in the top bits; they
+  // are diagnostics, never ordering.
+  const MessageId id((src.value() << 20) | (next_message_[src.value()]++ & 0xFFFFF));
   if (size_bytes < config_.min_frame_bytes) {
     size_bytes = config_.min_frame_bytes;
   }
 
   const bool loopback = src == dst;
   if (!loopback && !routing_->Reachable(src, dst)) {
-    ++st.stats.packets_dropped_unreachable;
+    ++stats_.packets_dropped_unreachable;
     return MessageId::Invalid();
   }
   // One init block for both paths: the pooled Packet is reused, so every
   // field must be (re)assigned here.
-  Packet* p = AcquirePacket(st);
+  Packet* p = AcquirePacket();
   p->id = id;
   p->src = src;
   p->dst = dst;
@@ -146,47 +140,41 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
   }
   const Hop& hop = route[hop_index];
 
-  // Every hop executes either on the shard that owns hop.sender (the first
-  // hop inside Send, later hops inside the relay's arrival event) or on the
-  // exclusive driver path — so the sender-partitioned guardian timeline has
-  // exactly one writer, and is the same partition for every shard count.
-  ShardState& st = SenderState(hop.sender);
-
   // A downed relay cannot transmit, and a Byzantine relay may refuse to.
   if (hop_index > 0 &&
       (node_down_[hop.sender.value()] || relay_drop_[hop.sender.value()])) {
-    ++st.stats.packets_dropped_down;
-    ReleasePacket(st, packet);
+    ++stats_.packets_dropped_down;
+    ReleasePacket(packet);
     return;
   }
 
-  SimTime& next_free = st.guardian_next_free[GuardianKey(hop.link, hop.sender, packet->cls)];
+  SimTime& next_free = guardian_next_free_[GuardianKey(hop.link, hop.sender, packet->cls)];
   const SimTime now = sim_->Now();
   const SimTime depart = std::max(now, next_free);
   if (depart - now > config_.max_guardian_backlog) {
-    ++st.stats.packets_dropped_backlog;
-    ++st.stats.backlog_drops_by_class[static_cast<int>(packet->cls)];
-    ReleasePacket(st, packet);
+    ++stats_.packets_dropped_backlog;
+    ++stats_.backlog_drops_by_class[static_cast<int>(packet->cls)];
+    ReleasePacket(packet);
     return;
   }
   const LinkSpec& lspec = topo_->link(hop.link);
   // Duty-cycled radio: departures are only legal during the first duty_on
   // of each duty_period. The gate is a pure function of the departure
-  // instant (which the sender-partitioned guardian makes layout-invariant),
+  // instant (which the sender's own guardian makes layout-invariant),
   // so heal or wake events elsewhere can never reopen an off window early.
   // Nothing is transmitted: the guardian does not advance and no bytes are
   // charged to the medium.
   if (lspec.duty_period > 0 && depart % lspec.duty_period >= lspec.duty_on) {
-    ++st.stats.packets_dropped_duty;
-    ReleasePacket(st, packet);
+    ++stats_.packets_dropped_duty;
+    ReleasePacket(packet);
     return;
   }
   const SimDuration tx =
-      CachedSerializationTime(st, hop.link, hop.sender, packet->cls, packet->size_bytes);
+      CachedSerializationTime(hop.link, hop.sender, packet->cls, packet->size_bytes);
   next_free = depart + tx;
 
-  st.stats.bytes_by_class[static_cast<int>(packet->cls)] += packet->size_bytes;
-  st.stats.total_link_bytes += packet->size_bytes;
+  stats_.bytes_by_class[static_cast<int>(packet->cls)] += packet->size_bytes;
+  stats_.total_link_bytes += packet->size_bytes;
 
   const SimTime arrival = depart + tx + lspec.propagation;
   // Global residual loss and the link's own loss model are independent
@@ -199,9 +187,9 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
   // Hop state is packed so the closure fits the event queue's inline
   // buffer; the receiver is resolved now (the captured routing table is
   // immutable, so the arrival-time lookup gave the same answer). The
-  // arrival event is owned by the hop receiver: a cross-shard hop rides the
-  // sender's mailbox, and the lookahead bound holds because arrival is at
-  // least tx(min frame) + propagation after now.
+  // arrival event is owned by the hop receiver, and the lookahead bound
+  // holds for a cross-shard hop because arrival is at least
+  // tx(min frame) + propagation after now.
   struct HopState {
     uint32_t next_hop;
     uint32_t receiver;
@@ -210,15 +198,13 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
   const HopState hs{static_cast<uint32_t>(hop_index + 1), hop.receiver.value(), lost};
   sim_->AtActor(hs.receiver, arrival, [this, packet, routing = std::move(routing), hs]() mutable {
     if (hs.lost) {
-      ShardState& local = CurrentState();
-      ++local.stats.packets_dropped_loss;
-      ReleasePacket(local, packet);
+      ++stats_.packets_dropped_loss;
+      ReleasePacket(packet);
       return;
     }
     if (node_down_[hs.receiver]) {
-      ShardState& local = CurrentState();
-      ++local.stats.packets_dropped_down;
-      ReleasePacket(local, packet);
+      ++stats_.packets_dropped_down;
+      ReleasePacket(packet);
       return;
     }
     ForwardHop(packet, std::move(routing), hs.next_hop);
@@ -226,53 +212,18 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
 }
 
 void Network::Deliver(Packet* packet) {
-  ShardState& st = CurrentState();
   if (node_down_[packet->dst.value()]) {
-    ++st.stats.packets_dropped_down;
-    ReleasePacket(st, packet);
+    ++stats_.packets_dropped_down;
+    ReleasePacket(packet);
     return;
   }
   packet->delivered_at = sim_->Now();
-  ++st.stats.packets_delivered;
+  ++stats_.packets_delivered;
   DeliveryFn& fn = receivers_[packet->dst.value()];
   if (fn) {
     fn(*packet);
   }
-  ReleasePacket(st, packet);
-}
-
-NetworkStats Network::stats() const {
-  NetworkStats total;
-  for (const auto& st : state_) {
-    const NetworkStats& s = st->stats;
-    total.packets_sent += s.packets_sent;
-    total.packets_delivered += s.packets_delivered;
-    total.packets_dropped_loss += s.packets_dropped_loss;
-    total.packets_dropped_down += s.packets_dropped_down;
-    total.packets_dropped_unreachable += s.packets_dropped_unreachable;
-    total.packets_dropped_backlog += s.packets_dropped_backlog;
-    total.packets_dropped_duty += s.packets_dropped_duty;
-    for (int c = 0; c < kTrafficClassCount; ++c) {
-      total.backlog_drops_by_class[c] += s.backlog_drops_by_class[c];
-      total.bytes_by_class[c] += s.bytes_by_class[c];
-    }
-    total.total_link_bytes += s.total_link_bytes;
-  }
-  return total;
-}
-
-void Network::ResetStats() {
-  for (auto& st : state_) {
-    st->stats = NetworkStats();
-  }
-}
-
-size_t Network::packet_pool_size() const {
-  size_t total = 0;
-  for (const auto& st : state_) {
-    total += st->packet_blocks.size();
-  }
-  return total;
+  ReleasePacket(packet);
 }
 
 void Network::SetNodeDown(NodeId node, bool down) { node_down_[node.value()] = down; }

@@ -17,17 +17,15 @@
 // the pool recycles it on delivery or drop. Payload objects are allocated
 // from a shared BlockPool (see MakePooled) by whoever builds them.
 //
-// Sharding: all mutable transport state is split per shard. Guardian
-// timelines are partitioned by the shard of the *sender* (a hop's guardian
-// is only ever touched by the shard executing that sender's events, or by
-// the exclusive driver path — the same partition for every shard count,
-// which is what keeps reports bit-identical). Serialization caches, stats,
-// and packet pools are partitioned by the executing shard; stats aggregate
-// on read. Per-sender message counters are single-writer by construction.
+// Sharding: the simulator runs shard windows one after another on one
+// thread, so the transport keeps a single copy of its state. Guardian
+// timelines are keyed by (link, sender, class) and only ever advanced by
+// the sender's own events or by the driver, so their values do not depend
+// on the shard layout.
 //
 // Loss draws carry no state at all: each hop's draw is a pure hash of
 // (seed, link, message id, hop index). Message ids are per-sender sequence
-// numbers assigned on the sender's shard, so the draw for a given physical
+// numbers assigned by the sender, so the draw for a given physical
 // transmission is identical for every shard layout — lossy runs keep the
 // any-shard-count byte-identity contract.
 
@@ -155,29 +153,11 @@ class Network {
   SimDuration SerializationTime(LinkId link, NodeId sender, TrafficClass cls,
                                 uint32_t size_bytes) const;
 
-  // Aggregated over all shards. Call from the exclusive path (between
-  // windows or post-run).
-  NetworkStats stats() const;
-  void ResetStats();
+  const NetworkStats& stats() const { return stats_; }
 
   const Topology& topology() const { return *topo_; }
 
-  // Pool occupancy diagnostics (bench counters), aggregated over shards.
-  size_t packet_pool_size() const;
-
  private:
-  // Mutable transport state owned by one shard. Padded so two shards'
-  // guardians never share a cache line.
-  struct alignas(64) ShardState {
-    FlatMap64<SimTime> guardian_next_free;
-    FlatMap64<SimDuration> serialization_cache;
-    NetworkStats stats;
-    // Freelist-pooled in-flight packets. A packet acquired on the sender's
-    // shard is released to the shard that finishes it (the receiver's);
-    // backing storage stays with the acquiring shard.
-    std::vector<std::unique_ptr<Packet>> packet_blocks;
-    std::vector<Packet*> packet_free;
-  };
   // 64-bit guardian key: 24-bit link | 24-bit sender | class.
   static uint64_t GuardianKey(LinkId link, NodeId sender, TrafficClass cls) {
     return (static_cast<uint64_t>(link.value()) << 32) |
@@ -186,30 +166,23 @@ class Network {
 
   double ClassFraction(TrafficClass cls) const;
 
-  // State of the shard the calling context executes for (shard 0 on the
-  // exclusive path).
-  ShardState& CurrentState() { return *state_[sim_->CurrentShard()]; }
-  // State of the shard owning `sender`'s guardians — the invariant
-  // partition (see file comment).
-  ShardState& SenderState(NodeId sender) { return *state_[sim_->ShardOf(sender.value())]; }
-
   // SerializationTime with the result memoized per (link, class, size):
   // the hot path sends the same few message sizes on the same links every
   // period, and the floating-point division is measurable there. Values
   // are computed by the exact public formula, so timing is unchanged.
-  SimDuration CachedSerializationTime(ShardState& st, LinkId link, NodeId sender,
-                                      TrafficClass cls, uint32_t size_bytes) {
+  SimDuration CachedSerializationTime(LinkId link, NodeId sender, TrafficClass cls,
+                                      uint32_t size_bytes) {
     const uint64_t key = (static_cast<uint64_t>(link.value()) << 40) |
                          (static_cast<uint64_t>(cls) << 36) | size_bytes;
-    SimDuration& tx = st.serialization_cache[key];
+    SimDuration& tx = serialization_cache_[key];
     if (tx == 0) {
       tx = SerializationTime(link, sender, cls, size_bytes);  // always >= 1
     }
     return tx;
   }
 
-  Packet* AcquirePacket(ShardState& st);
-  void ReleasePacket(ShardState& st, Packet* packet);
+  Packet* AcquirePacket();
+  void ReleasePacket(Packet* packet);
 
   void ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> routing,
                   size_t hop_index);
@@ -222,13 +195,13 @@ class Network {
   std::vector<DeliveryFn> receivers_;
   std::vector<bool> node_down_;
   std::vector<bool> relay_drop_;
-  std::vector<std::unique_ptr<ShardState>> state_;  // one per shard
-  // Per-sender message counters, padded: each is written only by its
-  // sender's shard (or the exclusive driver path).
-  struct alignas(64) MessageCounter {
-    uint32_t next = 0;
-  };
-  std::vector<MessageCounter> next_message_;
+  FlatMap64<SimTime> guardian_next_free_;
+  FlatMap64<SimDuration> serialization_cache_;
+  NetworkStats stats_;
+  // Freelist-pooled in-flight packets.
+  std::vector<std::unique_ptr<Packet>> packet_blocks_;
+  std::vector<Packet*> packet_free_;
+  std::vector<uint32_t> next_message_;  // per-sender message counters
 };
 
 }  // namespace btr

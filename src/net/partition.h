@@ -1,4 +1,4 @@
-// Topology-aware shard partitioner for the parallel simulator.
+// Topology-aware shard partitioner for the windowed simulator.
 //
 // Groups nodes by link locality: nodes joined by low-latency links carry
 // the densest traffic (and the tightest event coupling), so the greedy

@@ -1,4 +1,4 @@
-// Shard layout for the conservative-parallel simulator.
+// Shard layout for the conservative-window simulator.
 //
 // A layout assigns every simulated actor (node) to one shard and carries
 // the conservative lookahead: the minimum latency any message needs to

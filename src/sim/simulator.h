@@ -1,46 +1,45 @@
 // The simulation driver: event queues, current time, root RNG, and the
-// conservative-parallel (Chandy–Misra–Bryant style) shard engine.
+// conservative-window (Chandy–Misra–Bryant style) shard engine.
 //
 // With the default single-shard layout every event lives in one queue and
-// RunToCompletion is the classic sequential loop — byte-for-byte the same
-// behavior and, to within noise, the same speed as the pre-sharding engine.
+// RunToCompletion is the classic sequential loop.
 //
-// With a multi-shard layout, each shard owns an EventQueue and a local
-// clock. Execution proceeds in conservative windows: the coordinator picks
-// the globally earliest pending event time t, and every shard may safely
-// execute its own events in [t, t + lookahead) without synchronizing,
-// because any event a peer could still send it lands no earlier than
-// t + lookahead (the minimum cross-shard link latency). Cross-shard
-// schedules go through single-writer mailboxes that the coordinator drains
-// between windows. Driver events (period ticks — the natural coarse
-// barriers — fault injections, install shipping) run exclusively between
-// windows, with every worker parked.
+// With a multi-shard layout, each shard owns an EventQueue. Execution
+// proceeds in conservative windows on the calling thread: the driver picks
+// the globally earliest pending event time t, and runs every shard's events
+// in [t, t + lookahead) one shard after the other. No shard can affect
+// another inside a window, because any event a shard schedules for a peer
+// lands no earlier than t + lookahead (the minimum cross-shard link
+// latency), so cross-shard schedules go straight into the owner's queue.
+// Driver events (period ticks — the natural coarse barriers — fault
+// injections, install shipping) run between windows and may touch any
+// shard's actors.
 //
-// Determinism is the contract, not a best effort: every event carries a
-// canonical priority (scheduling actor, per-actor counter) that is
-// independent of the shard layout, each shard pops its queue in (when,
-// priority) order, and shards never share mutable simulation state. The
-// result is that reports are byte-identical for ANY shard count, including
-// 1. Window boundaries do vary with the layout; event order per actor does
-// not.
+// Determinism is the contract: every event carries a canonical priority
+// (scheduling actor, per-actor counter) that is independent of the shard
+// layout, and each queue pops in (when, priority) order. The result is that
+// reports are byte-identical for ANY shard count, including 1. Window
+// boundaries do vary with the layout; event order per actor does not.
 
 #ifndef BTR_SRC_SIM_SIMULATOR_H_
 #define BTR_SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "src/common/exec_context.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/shard_layout.h"
 
 namespace btr {
+
+// Sentinel actor id for driver / harness events (fault injections, period
+// ticks, install shipping). Sorts before every node actor in the canonical
+// event order.
+inline constexpr uint32_t kDriverActor = 0xFFFFFFFFu;
 
 class Simulator {
  public:
@@ -53,16 +52,12 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Simulated time as seen by the calling context: the shard-local clock
-  // inside a shard window, the driver clock otherwise.
-  SimTime Now() const {
-    const ExecContext& exec = ThisThreadExec();
-    return exec.worker ? *exec.now : now_;
-  }
+  // Simulated time: the executing event's timestamp inside an event, the
+  // latest executed (or run-to) time otherwise.
+  SimTime Now() const { return now_; }
 
-  // Root RNG. Exclusive-path only (planning, scenario setup); never
-  // touched by shard workers. The data plane itself draws no randomness —
-  // loss draws are stateless hashes (see net/network.cc).
+  // Root RNG, for planning and scenario setup. The data plane itself draws
+  // no randomness — loss draws are stateless hashes (see net/network.cc).
   Rng* rng() { return &rng_; }
   uint64_t seed() const { return seed_; }
 
@@ -70,59 +65,44 @@ class Simulator {
   uint32_t ShardOf(uint32_t actor) const { return layout_.ShardOf(actor); }
   SimDuration lookahead() const { return lookahead_; }
 
-  // Shard whose state the calling context may touch (0 on the exclusive
-  // path). Network and runtime use this to index per-shard state.
-  uint32_t CurrentShard() const {
-    const ExecContext& exec = ThisThreadExec();
-    return exec.worker ? exec.shard : 0;
-  }
-
   // Schedules `fn` at absolute time `when` (>= Now()) for the actor of the
-  // calling context: a node event reschedules for its own node (same
-  // shard), a driver/exclusive caller schedules a driver event. Inline,
-  // with the callable taken by rvalue: the data plane schedules one event
-  // per hop and per job dispatch, and each avoided 48-byte move is
-  // measurable.
+  // executing event: a node event reschedules for its own node (same
+  // shard), a driver caller schedules a driver event. Inline, with the
+  // callable taken by rvalue: the data plane schedules one event per hop
+  // and per job dispatch, and each avoided 48-byte move is measurable.
   EventHandle At(SimTime when, EventFn&& fn) {
     assert(when >= Now());
-    ExecContext& exec = ThisThreadExec();
-    if (exec.actor == kDriverActor) {
+    if (actor_ == kDriverActor) {
       return DriverQueue().Schedule(when, next_driver_prio_++, kDriverActor, std::move(fn));
     }
-    const uint32_t shard = exec.worker ? exec.shard : layout_.ShardOf(exec.actor);
-    return shards_[shard]->queue.Schedule(when, NextActorPrio(exec.actor), exec.actor,
-                                          std::move(fn));
+    return queues_[layout_.ShardOf(actor_)]->Schedule(when, NextActorPrio(actor_), actor_,
+                                                      std::move(fn));
   }
 
   // Schedules `fn` at `when` owned by `actor`, which may live on another
-  // shard. Cross-shard schedules from inside a shard window go through the
-  // sender's mailbox (and must respect the lookahead: when >= window end);
-  // the returned handle is invalid for those, so they cannot be cancelled.
+  // shard. A cross-shard schedule from inside a window must respect the
+  // lookahead (when >= window end), so it cannot run before the window's
+  // own events on the target shard.
   EventHandle AtActor(uint32_t actor, SimTime when, EventFn&& fn) {
     assert(when >= Now());
-    ExecContext& exec = ThisThreadExec();
-    const uint64_t prio = exec.actor == kDriverActor ? next_driver_prio_++
-                                                     : NextActorPrio(exec.actor);
+    const uint64_t prio =
+        actor_ == kDriverActor ? next_driver_prio_++ : NextActorPrio(actor_);
     const uint32_t shard = layout_.ShardOf(actor);
-    if (exec.worker && shard != exec.shard && !merged_exec_) {
-      assert(when >= window_end_ && "cross-shard event inside the lookahead window");
-      auto& box = mail_[exec.shard * shard_count_ + shard];
-      box.items.push_back(PendingEvent{when, prio, actor, std::move(fn)});
-      return EventHandle();
-    }
-    return shards_[shard]->queue.Schedule(when, prio, actor, std::move(fn));
+    assert((exec_shard_ == kNoShard || shard == exec_shard_ || when >= window_end_) &&
+           "cross-shard event inside the lookahead window");
+    return queues_[shard]->Schedule(when, prio, actor, std::move(fn));
   }
 
-  // Schedules `fn` to run after `delay` (>= 0) for the calling context's
-  // actor.
+  // Schedules `fn` to run after `delay` (>= 0) for the executing actor.
   EventHandle After(SimDuration delay, EventFn&& fn) {
     assert(delay >= 0);
     return At(Now() + delay, std::move(fn));
   }
 
-  // Cancels an event previously scheduled on the calling context's shard.
-  // A handle owned by another shard's queue is rejected with an error: the
-  // owning queue's lazy sweep must only ever be touched by its own shard.
+  // Cancels a pending event. Inside a shard's event, a handle owned by
+  // another queue is rejected with an error: that shard may already have
+  // run past the moment of the cancellation, so honoring it would depend
+  // on the shard layout.
   bool Cancel(EventHandle h);
 
   // Runs until the queues drain or simulated time would exceed `deadline`.
@@ -133,31 +113,14 @@ class Simulator {
   SimTime RunToCompletion();
 
   // Executes exactly one event (the globally earliest) if one is pending;
-  // returns false if idle. Sharded simulators execute it inline on the
-  // calling thread.
+  // returns false if idle.
   bool Step();
 
-  uint64_t events_executed() const;
+  uint64_t events_executed() const { return events_executed_; }
   size_t pending_events() const;
 
  private:
-  struct PendingEvent {
-    SimTime when;
-    uint64_t prio;
-    uint32_t owner;
-    EventFn fn;
-  };
-  struct alignas(64) Mailbox {
-    std::vector<PendingEvent> items;
-  };
-  struct alignas(64) Shard {
-    EventQueue queue;
-    SimTime now = 0;
-    uint64_t events = 0;
-  };
-  struct alignas(64) ActorSeq {
-    uint64_t next = 0;
-  };
+  static constexpr uint32_t kNoShard = 0xFFFFFFFFu;
 
   // Canonical tie-break priority. Driver events use a bare counter (always
   // below every actor priority at equal timestamps); actor events use
@@ -167,54 +130,45 @@ class Simulator {
     if (actor >= actor_seq_.size()) {
       // Only the default (layout-less) single-shard simulator can see an
       // actor beyond the layout: unit harnesses construct Simulator(seed)
-      // and invent actor ids ad hoc. That path is exclusive (no workers),
-      // so growing here is safe. A partitioned layout covers every node up
-      // front, making an out-of-range actor a caller bug.
+      // and invent actor ids ad hoc. A partitioned layout covers every
+      // node up front, making an out-of-range actor a caller bug.
       assert(shard_count_ == 1);
       actor_seq_.resize(size_t{actor} + 1);
     }
-    return (uint64_t{actor} + 1) << 40 | actor_seq_[actor].next++;
+    return (uint64_t{actor} + 1) << 40 | actor_seq_[actor]++;
   }
 
-  EventQueue& DriverQueue() { return shard_count_ == 1 ? shards_[0]->queue : driver_queue_; }
+  EventQueue& DriverQueue() { return shard_count_ == 1 ? *queues_[0] : driver_queue_; }
 
-  void StartWorkers();
-  void StopWorkers();
-  void WorkerLoop(uint32_t shard);
+  // Pops and runs the earliest event of `queue` as its owning actor.
+  void RunNextOf(EventQueue& queue);
+  // Runs shard `shard`'s events with when < window_end_.
   void RunShardWindow(uint32_t shard);
-  void DrainMailboxes();
   // Windowed conservative execution of events with when <= deadline.
   void RunWindowed(SimTime deadline);
-  // Sequential single-event global merge (Step on a sharded simulator).
+  // Single-event global (when, prio) merge (Step on a sharded simulator).
   bool StepMerged();
 
   ShardLayout layout_;
   uint32_t shard_count_ = 1;
   SimDuration lookahead_ = kSimTimeNever;
-  bool use_threads_ = false;
-  bool workers_running_ = false;
-  bool merged_exec_ = false;  // inside StepMerged: cross-shard pushes go direct
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<EventQueue>> queues_;  // one per shard
   EventQueue driver_queue_;  // unused when shard_count_ == 1
-  std::vector<Mailbox> mail_;
-  std::vector<ActorSeq> actor_seq_;
+  std::vector<uint64_t> actor_seq_;
   uint64_t next_driver_prio_ = 1;
+
+  // Execution context: the actor of the executing event (kDriverActor
+  // outside node events), and the shard it runs on (kNoShard outside
+  // windows and merged steps).
+  uint32_t actor_ = kDriverActor;
+  uint32_t exec_shard_ = kNoShard;
+  SimTime window_end_ = 0;
 
   SimTime now_ = 0;
   uint64_t seed_ = 0;
   Rng rng_;
   uint64_t events_executed_ = 0;
-
-  // Window handshake. window_end_ is written by the coordinator before the
-  // epoch_ release-increment and read by workers after their acquire load,
-  // so it needs no atomicity of its own; arrived_ release-increments chain
-  // each worker's queue/mailbox writes to the coordinator's acquire reads.
-  SimTime window_end_ = 0;
-  alignas(64) std::atomic<uint64_t> epoch_{0};
-  alignas(64) std::atomic<uint32_t> arrived_{0};
-  std::atomic<bool> stop_workers_{false};
-  ThreadPool::Ticket worker_ticket_;
 };
 
 }  // namespace btr

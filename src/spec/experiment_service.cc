@@ -175,9 +175,9 @@ StatusOr<SweepServiceReport> RunSweepService(const ExperimentSpec& spec,
   } else {
     // `lanes` pool jobs pull indices from a shared counter. Reserve — not
     // merely ensure — that many workers: long-lived occupants (another
-    // sweep, shard loops) may hold pool threads, and a lane that never
-    // starts would serialize the fleet. Everything nested under a job
-    // (planner waves, sharded simulation) runs inline on its lane.
+    // sweep) may hold pool threads, and a lane that never starts would
+    // serialize the fleet. Everything nested under a job (planner waves,
+    // simulation) runs inline on its lane.
     std::atomic<size_t> next{0};
     ThreadPool& pool = ThreadPool::Shared();
     pool.ReserveWorkers(lanes);

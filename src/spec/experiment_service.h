@@ -22,9 +22,9 @@
 // Scheduling: `jobs` lanes pull job indices from an atomic counter. Lanes
 // run as pool jobs; everything nested under a job — planner waves, patch
 // dissemination, sharded simulation — runs inline on that lane's worker
-// (ThreadPool runs nested batches on the caller; the simulator falls back
-// to sequential windows on a pool worker), so an oversubscribed jobs x
-// shards sweep completes instead of deadlocking.
+// (ThreadPool runs nested batches on the caller, and the simulator never
+// uses threads), so an oversubscribed jobs x shards sweep completes
+// instead of deadlocking.
 
 #ifndef BTR_SRC_SPEC_EXPERIMENT_SERVICE_H_
 #define BTR_SRC_SPEC_EXPERIMENT_SERVICE_H_

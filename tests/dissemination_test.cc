@@ -13,7 +13,6 @@
 //      distributor election admits a healed transient (the bugfix: a node
 //      whose injection ended before rollout_at used to be banned forever).
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -272,7 +271,6 @@ TEST(GossipRollout, RolloutFreeRunsAreByteIdenticalToUnicast) {
 }
 
 TEST(GossipRollout, ReportsAreByteIdenticalAcrossShardCounts) {
-  setenv("BTR_SHARD_EXEC", "threads", 1);
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     auto spec = ParseExperimentSpec(ConvoyRolloutSpec(" dissem=gossip"));
@@ -288,7 +286,6 @@ TEST(GossipRollout, ReportsAreByteIdenticalAcrossShardCounts) {
       EXPECT_EQ(dump, baseline) << "report diverged at shards=" << shards;
     }
   }
-  unsetenv("BTR_SHARD_EXEC");
 }
 
 // --- Distributor election (the healed-transient ban) -------------------------

@@ -6,15 +6,14 @@
 // serialize byte-identical across {cache on, cache off} x {--jobs 1, 4}.
 // The cache and the job lanes are speed knobs, never semantics knobs.
 // This suite carries the "service" ctest label: it runs in tier-1, under
-// ASan/UBSan (full suite), and under TSan with BTR_SHARD_EXEC=threads,
-// where the directed oversubscription test drives sweep jobs x simulator
-// shards against the shared pool's reserved-worker ticketing.
+// ASan/UBSan (full suite), and under TSan, where the directed
+// oversubscription test drives sweep jobs x simulator shards against the
+// shared pool's reserved-worker ticketing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -343,10 +342,7 @@ TEST(SingleFlight, WaitersTakeOverAfterLeaderFailure) {
 // --- nested pool use: sweep jobs x sharded simulation ----------------------
 
 // Oversubscription: more job lanes than the pool had workers, each job a
-// multi-shard simulation, with BTR_SHARD_EXEC=threads forcing the
-// threaded shard path wherever it is legal (on a pool worker the
-// simulator falls back to sequential windows — same reports by the
-// shard-invariance contract). Must complete and match the sequential run.
+// multi-shard simulation. Must complete and match the sequential run.
 TEST(Service, OversubscribedJobsTimesShardsCompletes) {
   ExperimentSpec spec = MakeSweepSpec(6, {1}, /*periods=*/10);
   spec.shards = 4;
@@ -356,11 +352,9 @@ TEST(Service, OversubscribedJobsTimesShardsCompletes) {
   const SweepServiceReport expected = RunOrDie(spec, sequential);
   ASSERT_EQ(expected.failures, 0u);
 
-  setenv("BTR_SHARD_EXEC", "threads", /*overwrite=*/1);
   ServiceOptions oversubscribed;
   oversubscribed.jobs = ThreadPool::Shared().worker_count() + 2;
   const SweepServiceReport got = RunOrDie(spec, oversubscribed);
-  unsetenv("BTR_SHARD_EXEC");
 
   EXPECT_EQ(got.failures, 0u);
   EXPECT_EQ(got.combined_fingerprint, expected.combined_fingerprint);

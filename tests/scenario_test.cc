@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -415,7 +414,6 @@ TEST(ScenarioShardInvariance, PerLinkLossByteIdenticalAcrossShardCounts) {
   config.planner.recovery_bound = Milliseconds(1000);
   config.seed = 6;
 
-  setenv("BTR_SHARD_EXEC", "threads", 1);
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     BtrSystem system(MakeConvoyMobileScenario(4, &radio), config);
@@ -432,7 +430,6 @@ TEST(ScenarioShardInvariance, PerLinkLossByteIdenticalAcrossShardCounts) {
       EXPECT_EQ(dump, baseline) << "per-link lossy report diverged at shards=" << shards;
     }
   }
-  unsetenv("BTR_SHARD_EXEC");
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/shard_layout.h"
 #include "src/sim/simulator.h"
 
 namespace btr {
@@ -229,6 +232,100 @@ TEST(Simulator, CancelledEventDoesNotRun) {
   sim.Cancel(h);
   sim.RunToCompletion();
   EXPECT_FALSE(fired);
+}
+
+// --- multi-shard engine ---
+
+// Actors 0 and 2 live on shard 0, actors 1 and 3 on shard 1; an event
+// crossing shards lands at least 10 ns after its sender's time.
+ShardLayout TwoShards() {
+  ShardLayout layout;
+  layout.shard_count = 2;
+  layout.shard_of = {0, 1, 0, 1};
+  layout.lookahead = 10;
+  return layout;
+}
+
+// (running actor, "target<-scheduler@time") in execution order.
+using RunLog = std::vector<std::pair<uint32_t, std::string>>;
+
+// At t=5, actor 0 (shard 0) schedules an event for actor 1 (shard 1, above
+// it) and actor 1 one for actor 0 (shard 0, below it), both at t=15: the
+// end of the first window. Actor 2 schedules its own t=15 event, and the
+// driver schedules one for actor 0 up front. On shard 0 the event from
+// actor 1 is queued after actor 2's, yet its canonical priority is lower.
+RunLog RunCrossShardScenario(Simulator& sim, bool step) {
+  RunLog log;
+  auto record = [&sim, &log](uint32_t actor, const char* tag) {
+    log.emplace_back(actor, std::string(tag) + "@" + std::to_string(sim.Now()));
+  };
+  sim.AtActor(0, 5, [&] { sim.AtActor(1, 15, [&] { record(1, "1<-0"); }); });
+  sim.AtActor(1, 5, [&] { sim.AtActor(0, 15, [&] { record(0, "0<-1"); }); });
+  sim.AtActor(2, 5, [&] { sim.At(15, [&] { record(2, "2<-2"); }); });
+  sim.AtActor(0, 15, [&] { record(0, "0<-driver"); });
+  if (step) {
+    while (sim.Step()) {
+    }
+  } else {
+    sim.RunToCompletion();
+  }
+  return log;
+}
+
+std::vector<std::string> OnShard(const RunLog& log, const Simulator& sim, uint32_t shard) {
+  std::vector<std::string> out;
+  for (const auto& [actor, text] : log) {
+    if (sim.ShardOf(actor) == shard) {
+      out.push_back(text);
+    }
+  }
+  return out;
+}
+
+TEST(ShardedSimulator, CrossShardEventsRunAtTheirTimeInCanonicalOrder) {
+  Simulator sim(1, TwoShards());
+  const RunLog log = RunCrossShardScenario(sim, /*step=*/false);
+  EXPECT_EQ(OnShard(log, sim, 0),
+            (std::vector<std::string>{"0<-driver@15", "0<-1@15", "2<-2@15"}));
+  EXPECT_EQ(OnShard(log, sim, 1), (std::vector<std::string>{"1<-0@15"}));
+  EXPECT_EQ(sim.Now(), 15);
+  EXPECT_EQ(sim.events_executed(), 7u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(ShardedSimulator, StepMergesShardsInSingleQueueOrder) {
+  Simulator one(1);
+  Simulator two(1, TwoShards());
+  const RunLog expected = RunCrossShardScenario(one, /*step=*/false);
+  ASSERT_EQ(expected.size(), 4u);
+  EXPECT_EQ(RunCrossShardScenario(two, /*step=*/true), expected);
+  EXPECT_EQ(two.Now(), 15);
+}
+
+TEST(ShardedSimulator, CancellingAnotherShardsEventInsideAWindowIsRejected) {
+  Simulator sim(1, TwoShards());
+  bool on_shard1_ran = false;
+  bool on_shard0_ran = false;
+  bool same_shard_ran = false;
+  const EventHandle on_shard1 = sim.AtActor(1, 20, [&] { on_shard1_ran = true; });
+  const EventHandle on_shard0 = sim.AtActor(0, 20, [&] { on_shard0_ran = true; });
+  const EventHandle same_shard = sim.AtActor(2, 20, [&] { same_shard_ran = true; });
+  bool cancelled_up = true;
+  bool cancelled_down = true;
+  bool cancelled_same = false;
+  sim.AtActor(0, 5, [&] {
+    cancelled_up = sim.Cancel(on_shard1);
+    cancelled_same = sim.Cancel(same_shard);
+  });
+  sim.AtActor(3, 5, [&] { cancelled_down = sim.Cancel(on_shard0); });
+  sim.RunToCompletion();
+  EXPECT_FALSE(cancelled_up);
+  EXPECT_FALSE(cancelled_down);
+  EXPECT_TRUE(on_shard1_ran);
+  EXPECT_TRUE(on_shard0_ran);
+  // The same-shard control: a window may cancel its own shard's events.
+  EXPECT_TRUE(cancelled_same);
+  EXPECT_FALSE(same_shard_ran);
 }
 
 TEST(LocalClock, PerfectClockIsIdentity) {

@@ -862,7 +862,6 @@ TEST(StrategyBinaryE2E, GossipV4RolloutInstallsEverywhereAndShipsFewerBytes) {
 }
 
 TEST(StrategyBinaryE2E, V4ReportsAreByteIdenticalAcrossShardCounts) {
-  setenv("BTR_SHARD_EXEC", "threads", 1);
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     auto spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip wire=v4"));
@@ -878,7 +877,6 @@ TEST(StrategyBinaryE2E, V4ReportsAreByteIdenticalAcrossShardCounts) {
       EXPECT_EQ(dump, baseline) << "v4 report diverged at shards=" << shards;
     }
   }
-  unsetenv("BTR_SHARD_EXEC");
 }
 
 TEST(StrategyBinaryE2E, RunReportsMatchAcrossStrategySources) {
