@@ -8,8 +8,8 @@
 //
 // The install section (--install-only for CI) measures the strategy
 // *distribution* cost after an E7 single-edit: per-node install bytes and
-// simulated install latency over the network's control class, sliced-patch
-// shipments vs the naive full-blob-to-every-node baseline. Emits
+// simulated install latency of the gossip rollout over the network's
+// control class, patch artifacts vs the full-blob baseline. Emits
 // `BENCH_JSON {...}` rows that ci/run_benches.sh folds into
 // BENCH_runtime.json.
 
@@ -111,9 +111,9 @@ struct InstallMeasurement {
 StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEdit& edit,
                                              BtrRuntime::InstallShipMode mode) {
   BtrConfig config = DefaultBtrConfig(2, Milliseconds(500));
-  // Heartbeats share the control class with install traffic; an unpaced
-  // distributor burst would delay its own heartbeats into false omission
-  // convictions (pacing is the dissemination-scheduling ROADMAP item).
+  // Heartbeats off isolates the install plane: nothing else shares the
+  // control class. The gossip rollout still paces its chunks as if
+  // heartbeats needed the headroom, so install time includes that pacing.
   config.runtime.heartbeats = false;
 
   BtrSystem system(base, config);
@@ -140,8 +140,8 @@ StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEd
   }
   m.avg_patch = static_cast<double>(sum_patch) / static_cast<double>(m.nodes);
 
-  // Long enough that even the full-blob baseline (~0.8 s serialization per
-  // 100 KB shipment on the distributor's control share) finishes.
+  // The simulation drains the rollout past the last period, so the
+  // install time is measured even when it outlasts the workload.
   auto report = system.Run(400);
   if (!report.ok()) {
     return report.status();
@@ -231,8 +231,8 @@ void RunInstall() {
   std::printf("(bytes/node = average install shipment per node over the simulated\n"
               " network's control class; install time = simulated time from rollout\n"
               " start to the last node verifying its new slice; patches chain to the\n"
-              " installed base by fingerprint and fall back to a full slice on any\n"
-              " mismatch — see README \"Strategy distribution\")\n\n");
+              " installed base by fingerprint and fall back to the blob artifact on\n"
+              " any mismatch — see README \"Strategy distribution\")\n\n");
 }
 
 }  // namespace

@@ -84,15 +84,10 @@ std::string SerializeRunReport(const RunReport& report) {
          " patch_bytes=%" PRIu64 " full_bytes=%" PRIu64,
          ir.started_at, ir.completed_at, ir.nodes_installed, ir.fallbacks,
          ir.patch_bytes_sent, ir.full_bytes_sent);
-    // Gated on the gossip flag so unicast reports stay byte-identical to
-    // what they were before dissemination existed.
-    if (ir.gossip) {
-      line("dissem beacons=%" PRIu64 " suppressed=%" PRIu64 " requests=%" PRIu64
-           " chunks=%" PRIu64 " bytes=%" PRIu64 " serves=%" PRIu64 " resumes=%" PRIu64,
-           ir.dissem.beacons_sent, ir.dissem.beacons_suppressed, ir.dissem.requests_sent,
-           ir.dissem.chunks_sent, ir.dissem.bytes_sent, ir.dissem.serves,
-           ir.dissem.resumes);
-    }
+    line("dissem beacons=%" PRIu64 " suppressed=%" PRIu64 " requests=%" PRIu64
+         " chunks=%" PRIu64 " bytes=%" PRIu64 " serves=%" PRIu64 " resumes=%" PRIu64,
+         ir.dissem.beacons_sent, ir.dissem.beacons_suppressed, ir.dissem.requests_sent,
+         ir.dissem.chunks_sent, ir.dissem.bytes_sent, ir.dissem.serves, ir.dissem.resumes);
   }
   return out;
 }
@@ -248,7 +243,7 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   // it, and the floor must be identical across shard counts for reports to
   // be too.
   NetworkConfig netcfg = config_.planner.network;
-  netcfg.min_frame_bytes = std::max(netcfg.min_frame_bytes, kInstallNackBytes);
+  netcfg.min_frame_bytes = std::max(netcfg.min_frame_bytes, kDissemRequestBytes);
   const uint32_t shards =
       config_.shards != 0 ? config_.shards
                           : (scenario_->topology.node_count() < 16 ? 1 : 8);

@@ -158,8 +158,8 @@ class BtrSystem {
   // at that sim time and commits at its end (see Run). kNoRollout commits
   // immediately with no simulated traffic. Calling ApplyDelta while an
   // earlier edit is still staged first commits that edit silently.
-  // `ship_mode` picks sliced patches (default) or the naive full-blob
-  // baseline for the staged rollout.
+  // `ship_mode` picks patch artifacts (default) or the full-blob baseline
+  // for the staged rollout.
   Status ApplyDelta(const StrategyDelta& delta, SimTime rollout_at = kNoRollout,
                     BtrRuntime::InstallShipMode ship_mode =
                         BtrRuntime::InstallShipMode::kPatchSlices);

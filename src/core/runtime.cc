@@ -234,9 +234,10 @@ void BtrRuntime::ScheduleStrategyInstall(SimTime at,
          update->slice_fps.size() == nodes_.size());
   update_ = std::move(update);
   install_distributor_ = distributor;
-  fallbacks_sent_.assign(nodes_.size(), 0);
+  installed_at_.assign(nodes_.size(), kSimTimeNever);
   ctx_.sim->At(at, [this, mode]() {
-    install_report_.started_at = ctx_.sim->Now();
+    install_started_at_ = ctx_.sim->Now();
+    convicted_at_start_ = nodes_[install_distributor_.value()]->fault_set();
     // The base strategy was installed out of band before deployment (the
     // paper's nodes boot with it on flash); seed the engines, no traffic.
     for (auto& node : nodes_) {
@@ -248,139 +249,44 @@ void BtrRuntime::ScheduleStrategyInstall(SimTime at,
     } else {
       nodes_[d]->InstallTargetSlice(*update_);
     }
-    if (ctx_.config.dissem.mode == DissemMode::kGossip) {
-      // Gossip: no shipments yet — every node starts a Trickle agent; the
-      // distributor's beacons announce the target and neighbors pull,
-      // hop by hop.
-      for (auto& node : nodes_) {
-        node->StartGossip(install_distributor_, mode);
-      }
-      return;
+    // Nothing is pushed: every node starts a Trickle agent; the distributor's
+    // beacons announce the target and neighbors pull, hop by hop.
+    for (auto& node : nodes_) {
+      node->StartGossip(install_distributor_, mode);
     }
-    ShipNextInstall(0, mode);
   });
 }
 
-SimDuration BtrRuntime::EstimateInstallTx(NodeId dst, uint32_t bytes) const {
-  const RoutingTable* routing = ctx_.network->routing();
-  if (routing != nullptr) {
-    const Route& route = routing->RouteBetween(install_distributor_, dst);
-    if (!route.empty()) {
-      return ctx_.network->SerializationTime(route[0].link, install_distributor_,
-                                             TrafficClass::kControl, bytes);
-    }
-  }
-  // No routing yet (or dst unreachable): a 0 here would collapse the whole
-  // rollout into a same-instant burst that overflows the control guardian.
-  // Fall back to the serialization time (frame floor included) on the
-  // distributor's first attached link so shipments stay spaced.
-  const std::vector<LinkId>& links = ctx_.topo->LinksAt(install_distributor_);
-  if (links.empty()) {
-    return 1;
-  }
-  return ctx_.network->SerializationTime(links[0], install_distributor_,
-                                         TrafficClass::kControl,
-                                         std::max(bytes, kInstallNackBytes));
-}
-
-void BtrRuntime::ShipNextInstall(uint32_t index, InstallShipMode mode) {
-  if (update_ == nullptr) {
-    return;
-  }
-  while (index < nodes_.size() && NodeId(index) == install_distributor_) {
-    ++index;
-  }
-  if (index >= nodes_.size()) {
-    return;
-  }
-  const NodeId dst(index);
-  uint32_t bytes = 0;
-  if (mode == InstallShipMode::kPatchSlices) {
-    auto msg = std::make_shared<StrategyPatchMessage>();
-    msg->patch = update_->patch_slices[index];
-    msg->base_fp = update_->base_fp;
-    msg->target_fp = update_->target_fp;
-    msg->distributor = install_distributor_;
-    bytes = static_cast<uint32_t>(msg->patch.size());
-    install_report_.patch_bytes_sent += bytes;
-    ctx_.network->Send(install_distributor_, dst, bytes, TrafficClass::kControl,
-                       std::move(msg));
-  } else {
-    // Naive baseline: the entire target blob to every node; the receiver
-    // carves out its own slice on arrival.
-    auto msg = std::make_shared<StrategyFullMessage>();
-    msg->slice = update_->target_blob;
-    msg->target_fp = update_->target_fp;
-    // Fingerprint of the shipped bytes: the target fingerprint itself for
-    // a text blob, the image hash when the wire format is v4.
-    msg->content_fp = update_->target_blob_fp;
-    msg->distributor = install_distributor_;
-    bytes = static_cast<uint32_t>(msg->slice.size());
-    install_report_.full_bytes_sent += bytes;
-    ctx_.network->Send(install_distributor_, dst, bytes, TrafficClass::kControl,
-                       std::move(msg));
-  }
-  ctx_.sim->At(ctx_.sim->Now() + EstimateInstallTx(dst, bytes),
-               [this, index, mode]() { ShipNextInstall(index + 1, mode); });
-}
-
-void BtrRuntime::HandleInstallNack(NodeId from) {
-  if (update_ == nullptr || from.value() >= update_->full_slices.size()) {
-    return;
-  }
-  if (fallbacks_sent_[from.value()] >= kMaxInstallFallbacksPerNode) {
-    // Warn exactly once per node per rollout: the counter keeps advancing
-    // past the cap so later nacks from the same node stay silent instead of
-    // re-logging "giving up" on every retry.
-    if (fallbacks_sent_[from.value()] == kMaxInstallFallbacksPerNode) {
-      ++fallbacks_sent_[from.value()];
-      BTR_LOG(kWarning, "install")
-          << "node " << from.value() << " still nacking after "
-          << kMaxInstallFallbacksPerNode << " full-slice shipments; giving up on it";
-    }
-    return;
-  }
-  ++fallbacks_sent_[from.value()];
-  ++install_report_.fallbacks;
-  auto msg = std::make_shared<StrategyFullMessage>();
-  msg->slice = update_->full_slices[from.value()];
-  msg->target_fp = update_->target_fp;
-  msg->content_fp = update_->slice_fps[from.value()];
-  msg->distributor = install_distributor_;
-  const uint32_t bytes = static_cast<uint32_t>(msg->slice.size());
-  install_report_.full_bytes_sent += bytes;
-  ctx_.network->Send(install_distributor_, from, bytes, TrafficClass::kControl,
-                     std::move(msg));
-}
-
 void BtrRuntime::NotifyInstalled(NodeId node) {
-  (void)node;
-  ++installed_;
-  last_installed_at_ = std::max(last_installed_at_, ctx_.sim->Now());
+  installed_at_[node.value()] = ctx_.sim->Now();
 }
 
-const InstallRunReport& BtrRuntime::install_report() const {
-  install_report_final_ = install_report_;
+InstallRunReport BtrRuntime::install_report() const {
+  InstallRunReport report;
+  report.started_at = install_started_at_;
   // Gossip counters: sums over the per-node agents, in node order — shard-
   // layout invariant by construction.
-  if (ctx_.config.dissem.mode == DissemMode::kGossip && update_ != nullptr) {
-    install_report_final_.gossip = true;
-    for (const auto& node : nodes_) {
-      if (const DissemAgentStats* stats = node->gossip_stats()) {
-        install_report_final_.dissem.MergeFrom(*stats);
-      }
+  for (const auto& node : nodes_) {
+    if (const DissemAgentStats* stats = node->gossip_stats()) {
+      report.dissem.MergeFrom(*stats);
     }
-    install_report_final_.fallbacks += install_report_final_.dissem.fallbacks;
-    install_report_final_.patch_bytes_sent += install_report_final_.dissem.patch_payload_bytes;
-    install_report_final_.full_bytes_sent += install_report_final_.dissem.full_payload_bytes;
   }
-  install_report_final_.nodes_installed = installed_;
-  // Completion time is the moment the last node reached the target — a
-  // property of the event set, so the max is layout-invariant.
-  install_report_final_.completed_at = installed_ == nodes_.size() && installed_ > 0
-                                           ? last_installed_at_
-                                           : kSimTimeNever;
-  return install_report_final_;
+  report.fallbacks = local_install_fallbacks_ + report.dissem.fallbacks;
+  report.patch_bytes_sent = report.dissem.patch_payload_bytes;
+  report.full_bytes_sent = report.dissem.full_payload_bytes;
+  // Completion time is the moment the last node the distributor had not
+  // convicted at rollout start reached the target — a property of the
+  // event set, so the max is layout-invariant.
+  SimTime completed = installed_at_.empty() ? kSimTimeNever : 0;
+  for (uint32_t n = 0; n < installed_at_.size(); ++n) {
+    const SimTime at = installed_at_[n];
+    report.nodes_installed += at != kSimTimeNever ? 1 : 0;
+    if (completed != kSimTimeNever && !convicted_at_start_.Contains(NodeId(n))) {
+      completed = at == kSimTimeNever ? kSimTimeNever : std::max(completed, at);
+    }
+  }
+  report.completed_at = completed;
+  return report;
 }
 
 const NodeStats& BtrRuntime::node_stats(NodeId node) const {
@@ -1174,19 +1080,6 @@ void NodeRuntime::OnPacket(const Packet& packet) {
       awaiting_state_.Erase(transfer.task.value());
       return;
     }
-    case PayloadKind::kStrategyPatch: {
-      HandleStrategyPatch(packet, static_cast<const StrategyPatchMessage&>(*packet.payload));
-      return;
-    }
-    case PayloadKind::kStrategyFull: {
-      HandleStrategyFull(packet, static_cast<const StrategyFullMessage&>(*packet.payload));
-      return;
-    }
-    case PayloadKind::kInstallNack: {
-      const auto& nack = static_cast<const InstallNackMessage&>(*packet.payload);
-      owner_->HandleInstallNack(nack.from);
-      return;
-    }
     case PayloadKind::kDissemBeacon: {
       HandleDissemBeacon(packet, static_cast<const DissemBeaconMessage&>(*packet.payload));
       return;
@@ -1224,24 +1117,10 @@ void NodeRuntime::ApplyLocalInstall(const StrategyUpdate& update) {
     return;
   }
   // Local fallback: the distributor holds the full slices already.
-  ++owner_->install_report_.fallbacks;
+  ++owner_->local_install_fallbacks_;
   if (install_.InstallFull(update.full_slices[id_.value()], update.target_fp).ok()) {
     owner_->NotifyInstalled(id_);
   }
-}
-
-void NodeRuntime::HandleStrategyPatch(const Packet& packet, const StrategyPatchMessage& msg) {
-  install_.CountReceivedBytes(packet.size_bytes);
-  if (install_.strategy_fingerprint() == msg.target_fp) {
-    return;  // duplicate shipment; already on the target strategy
-  }
-  if (install_.ApplyPatch(msg.patch).ok()) {
-    owner_->NotifyInstalled(id_);
-    return;
-  }
-  // Verify-then-swap left the installed slice untouched; escalate to a
-  // full (non-delta) slice from the distributor.
-  SendInstallNack(msg.distributor, msg.target_fp);
 }
 
 void NodeRuntime::InstallTargetSlice(const StrategyUpdate& update) {
@@ -1251,72 +1130,6 @@ void NodeRuntime::InstallTargetSlice(const StrategyUpdate& update) {
   if (install_.InstallFull(update.full_slices[id_.value()], update.target_fp).ok()) {
     owner_->NotifyInstalled(id_);
   }
-}
-
-void NodeRuntime::HandleStrategyFull(const Packet& packet, const StrategyFullMessage& msg) {
-  install_.CountReceivedBytes(packet.size_bytes);
-  if (install_.strategy_fingerprint() == msg.target_fp) {
-    return;
-  }
-  // Content-verify the shipment before touching anything: the text's own
-  // SFP record chains to the parent blob, not to its own bytes, so a
-  // flipped table-row byte would otherwise survive structural validation.
-  if (FingerprintStrategyText(msg.slice) != msg.content_fp) {
-    SendInstallNack(msg.distributor, msg.target_fp);
-    return;
-  }
-  // The fallback path ships this node's slice; the naive full-blob
-  // baseline ships the whole strategy and the node carves its own slice.
-  // A v4 full-blob image decodes to its canonical text first (a slice
-  // image passes straight through to the engine's zero-parse path).
-  const std::string* slice_text = &msg.slice;
-  std::string carved;
-  std::string decoded;
-  const std::string* blob = nullptr;
-  if (msg.slice.rfind("BTRSTRATEGY", 0) == 0) {
-    blob = &msg.slice;
-  } else if (fmt::IsV4Image(msg.slice)) {
-    StatusOr<fmt::BinaryStrategyView> view = fmt::BinaryStrategyView::Map(msg.slice);
-    if (!view.ok()) {
-      SendInstallNack(msg.distributor, msg.target_fp);
-      return;
-    }
-    if (!view->is_slice()) {
-      StatusOr<std::string> text = view->DecodeText();
-      if (!text.ok()) {
-        SendInstallNack(msg.distributor, msg.target_fp);
-        return;
-      }
-      decoded = std::move(*text);
-      blob = &decoded;
-    }
-  }
-  if (blob != nullptr) {
-    StatusOr<std::string> extracted = ExtractSlice(*blob, id_.value());
-    if (!extracted.ok()) {
-      SendInstallNack(msg.distributor, msg.target_fp);
-      return;
-    }
-    carved = std::move(*extracted);
-    slice_text = &carved;
-  }
-  const Status st = install_.InstallFull(*slice_text, msg.target_fp);
-  if (!st.ok()) {
-    // Content-verified, so this is not transit damage: the distributor's
-    // own slice does not chain to the target. Re-requesting cannot help.
-    BTR_LOG(kWarning, "install") << "node " << id_.value()
-                              << ": full-slice install refused: " << st.ToString();
-    return;
-  }
-  owner_->NotifyInstalled(id_);
-}
-
-void NodeRuntime::SendInstallNack(NodeId distributor, uint64_t target_fp) {
-  auto nack = NewPayload<InstallNackMessage>();
-  nack->from = id_;
-  nack->target_fp = target_fp;
-  ctx_.network->Send(id_, distributor, kInstallNackBytes, TrafficClass::kControl,
-                     std::move(nack));
 }
 
 // ---------------------------------------------------------------------------
@@ -1529,7 +1342,7 @@ void NodeRuntime::HandleDissemRequest(const Packet& packet, const DissemRequestM
   const bool blob = msg.want_blob || g.blob_mode;
   // Leaf optimization: a single-neighbor requester can never relay, so it
   // gets only its own slice; everyone else receives the full artifact and
-  // becomes a relay. This is where gossip undercuts unicast on bus bytes.
+  // becomes a relay.
   const bool leaf = ctx_.topo->Neighbors(msg.from).size() <= 1;
   const DissemContent content =
       blob ? (leaf ? DissemContent::kBlobSlice : DissemContent::kBlobFull)
@@ -1684,12 +1497,12 @@ void NodeRuntime::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan pl
 }
 
 void NodeRuntime::HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg) {
+  (void)packet;
   if (gossip_ == nullptr || msg.target_fp != gossip_->target_fp) {
     return;
   }
   GossipSession& g = *gossip_;
   g.timer.NoteActivity();
-  install_.CountReceivedBytes(packet.size_bytes);
   if (DissemInstalled() || g.gave_up) {
     return;  // late duplicates
   }
@@ -1718,7 +1531,15 @@ void NodeRuntime::HandleDissemChunk(const Packet& packet, const DissemChunkMessa
   rx = DissemReassembly{};
   g.pending_from = NodeId::Invalid();
   if (FingerprintStrategyText(msg.text) != msg.content_fp) {
-    return;  // corrupt in transit: the next beacon triggers a clean re-pull
+    // Corrupt: the next beacon triggers a clean re-pull, up to the cap.
+    if (++g.verify_failures >= kMaxVerifyFailuresPerNode) {
+      BTR_LOG(kWarning, "install")
+          << "node " << id_.value() << ": " << g.verify_failures
+          << " pulled artifacts failed content verification; giving up";
+      g.gave_up = true;
+      g.timer.Stop();
+    }
+    return;
   }
   ApplyDissemArtifact(msg.content, msg.text, msg.from);
 }
@@ -1775,7 +1596,7 @@ void NodeRuntime::ApplyDissemArtifact(DissemContent content, const std::string& 
   }
   if (DissemContentIsPatch(content)) {
     // The patch does not chain to our installed base: fall back to the blob
-    // artifact from the same server (gossip's analogue of the install nack).
+    // artifact from the same server.
     ++g.stats.fallbacks;
     g.want_blob = true;
     g.rx = DissemReassembly{};

@@ -71,8 +71,8 @@ struct RuntimeConfig {
   // falsely accuse honest senders. 0 = perfect clocks.
   SimDuration max_clock_offset = Microseconds(30);
   uint32_t heartbeat_bytes = 32;
-  // Install-plane dissemination: unicast (PR 4 point-to-point) or
-  // Trickle-style gossip with heartbeat-aware pacing.
+  // Install-plane dissemination: Trickle-style gossip with heartbeat-aware
+  // pacing.
   DissemConfig dissem;
 };
 
@@ -106,7 +106,6 @@ struct InstallEngineStats {
   uint64_t patches_applied = 0;
   uint64_t patches_rejected = 0;
   uint64_t image_installs = 0;  // successful installs shipped as v4 images
-  uint64_t bytes_received = 0;  // wire bytes of install payloads delivered
 };
 
 // Node-side installed-strategy state: the node's slice of the canonical
@@ -152,7 +151,7 @@ class InstallEngine {
   // before any state changes; a mismatch rejects with the engine
   // bit-identical. Accepts the canonical text slice or a v4 slice image
   // (auto-detected). Callers shipping the slice over the wire must
-  // content-verify the bytes first (see StrategyFullMessage::content_fp) —
+  // content-verify the bytes first (see DissemChunkMessage::content_fp) —
   // the SFP chain alone cannot detect a flipped table-row byte.
   Status InstallFull(const std::string& slice_text, uint64_t expected_sfp);
 
@@ -161,8 +160,6 @@ class InstallEngine {
   // chains to the installed fingerprint, and its applied result verifies
   // against the patch's NSLICE fingerprint.
   Status ApplyPatch(const std::string& patch_text);
-
-  void CountReceivedBytes(uint64_t bytes) { stats_.bytes_received += bytes; }
 
  private:
   NodeId node_;
@@ -176,28 +173,23 @@ class InstallEngine {
 // What a strategy rollout cost and achieved, aggregated by BtrRuntime.
 struct InstallRunReport {
   SimTime started_at = kSimTimeNever;
-  SimTime completed_at = kSimTimeNever;  // when the last node reached the target
+  // When the last node the distributor had not convicted at rollout start
+  // reached the target.
+  SimTime completed_at = kSimTimeNever;
   size_t nodes_installed = 0;            // nodes whose engine reached the target
-  size_t fallbacks = 0;                  // full-slice installs after a failed patch
-  uint64_t patch_bytes_sent = 0;         // wire bytes of patch shipments
-  uint64_t full_bytes_sent = 0;          // wire bytes of fallback shipments
-  // Gossip-mode counters (sums of the per-node agent stats, so the values
-  // are shard-layout invariant). `gossip` gates the extra report line so
-  // unicast reports stay byte-identical to the pre-gossip format.
-  bool gossip = false;
+  size_t fallbacks = 0;                  // failed patches that fell back to the blob
+  uint64_t patch_bytes_sent = 0;         // artifact bytes served, patch family
+  uint64_t full_bytes_sent = 0;          // artifact bytes served, blob family
+  // Sums of the per-node agent stats, so the values are shard-layout
+  // invariant.
   DissemAgentStats dissem;
 };
 
-// A nacking node gets at most this many full-slice re-shipments per
-// rollout; past that the distributor gives up on it (the node keeps its
-// base slice, nodes_installed stays short) instead of ping-ponging nacks
-// forever with a peer whose shipments are persistently corrupted.
-inline constexpr uint32_t kMaxInstallFallbacksPerNode = 3;
-
-// Wire size of an InstallNackMessage (a node id, a fingerprint, framing) —
-// the smallest real protocol message, and therefore the wire-frame floor
-// BtrSystem pins into NetworkConfig::min_frame_bytes.
-inline constexpr uint32_t kInstallNackBytes = 24;
+// A node pulls an artifact that fails content verification at most this
+// many times per rollout; past that its agent gives up (the node keeps its
+// base slice, nodes_installed stays short) instead of re-pulling forever
+// from peers whose copy is persistently corrupted.
+inline constexpr uint32_t kMaxVerifyFailuresPerNode = 3;
 
 // Shared, immutable-during-run context.
 struct RuntimeContext {
@@ -227,25 +219,25 @@ class BtrRuntime {
   // manifestations. Call Simulator::RunToCompletion afterwards.
   void Start(uint64_t periods);
 
-  // How a rollout ships the target strategy: sliced patches (the delta
-  // path this subsystem exists for), or the entire target blob to every
-  // node (the naive pre-delta baseline, kept for cost comparisons).
+  // What a rollout gossips: patch artifacts (the delta path this subsystem
+  // exists for), or the target blob to every node (the pre-delta baseline,
+  // kept for cost comparisons).
   enum class InstallShipMode { kPatchSlices, kFullBlob };
 
   // Schedules a strategy rollout at simulated time `at`: every node's
   // engine is seeded with its base slice (the pre-deployment install, no
-  // traffic), then `distributor` ships each other node its sliced patch
-  // over the network as control traffic; a node whose patch fails to
-  // verify nacks and receives its full slice instead. Shipments are paced
-  // at the first-hop serialization rate so a rollout queues at most one
-  // shipment deep in the distributor's control-class guardian instead of
-  // overflowing its bounded backlog. Dissemination cost and latency land
-  // in install_report() and the network stats.
+  // traffic), `distributor` installs the target locally, and every node
+  // starts a Trickle agent. The distributor's beacons announce the target
+  // and neighbors pull it hop by hop as paced control traffic; a node whose
+  // patch fails to apply pulls the blob artifact instead. The rollout is
+  // complete once every node the distributor had not convicted at `at` has
+  // installed. Dissemination cost and latency land in install_report() and
+  // the network stats.
   void ScheduleStrategyInstall(SimTime at, std::shared_ptr<const StrategyUpdate> update,
                                NodeId distributor,
                                InstallShipMode mode = InstallShipMode::kPatchSlices);
-  // Finalized from the completion tally on every call.
-  const InstallRunReport& install_report() const;
+  // Built on every call from the per-node agent stats and install times.
+  InstallRunReport install_report() const;
 
   const NodeStats& node_stats(NodeId node) const;
   NodeStats TotalStats() const;
@@ -265,17 +257,8 @@ class BtrRuntime {
  private:
   friend class NodeRuntime;
   void RecordConviction(const ConvictionEvent& event);
-  // Install plane: node -> distributor escalation and completion tracking.
-  void HandleInstallNack(NodeId from);
+  // Install plane: completion tracking.
   void NotifyInstalled(NodeId node);
-  // Ships the rollout payload for node `index` (skipping the distributor)
-  // and chains the next shipment one serialization time later.
-  void ShipNextInstall(uint32_t index, InstallShipMode mode);
-  // First-hop serialization time of `bytes` from the distributor to `dst`
-  // under the current routing. With no routing or no route, falls back to
-  // the frame-floor serialization time on the distributor's first attached
-  // link, so shipments are always spaced (never a same-instant burst).
-  SimDuration EstimateInstallTx(NodeId dst, uint32_t bytes) const;
 
   RuntimeContext ctx_;
   // Freelist arena for message payloads, shared by every node.
@@ -285,17 +268,19 @@ class BtrRuntime {
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   mutable std::vector<ConvictionEvent> convictions_;
   mutable bool convictions_sorted_ = true;
-  size_t installed_ = 0;         // NotifyInstalled calls
-  SimTime last_installed_at_ = -1;
-  mutable InstallRunReport install_report_final_;
+  // Per node: when it reached the target (kSimTimeNever until then).
+  std::vector<SimTime> installed_at_;
+  // The distributor's fault set when the rollout started. A node in it is
+  // isolated — its neighbors neither serve it nor hear its requests — so
+  // completion does not wait for it.
+  FaultSet convicted_at_start_;
   uint64_t periods_ = 0;
   // Active strategy rollout (install plane), if any.
   std::shared_ptr<const StrategyUpdate> update_;
   NodeId install_distributor_;
-  InstallRunReport install_report_;
-  // Per-node fallback shipments this rollout, capped at
-  // kMaxInstallFallbacksPerNode.
-  std::vector<uint32_t> fallbacks_sent_;
+  SimTime install_started_at_ = kSimTimeNever;
+  // Distributor-local patch failures that fell back to its full slice.
+  size_t local_install_fallbacks_ = 0;
 };
 
 class NodeRuntime {
@@ -332,13 +317,13 @@ class NodeRuntime {
   void EnsureBaseInstalled(const StrategyUpdate& update);
   void ApplyLocalInstall(const StrategyUpdate& update);
   // Direct full-slice install (distributor-local path of the full-blob
-  // baseline mode).
+  // ship mode).
   void InstallTargetSlice(const StrategyUpdate& update);
 
-  // Gossip dissemination (config.dissem.mode == kGossip): starts this
-  // node's Trickle agent for the active rollout. WakeDissem revives a
-  // dormant agent — the driver's heal events poke a healed node back into
-  // the conversation, which is what makes catch-up resumable.
+  // Gossip dissemination: starts this node's Trickle agent for the active
+  // rollout. WakeDissem revives a dormant agent — the driver's heal events
+  // poke a healed node back into the conversation, which is what makes
+  // catch-up resumable.
   void StartGossip(NodeId distributor, BtrRuntime::InstallShipMode mode);
   void WakeDissem();
   // Agent stats for report aggregation; null when no gossip session ran.
@@ -393,12 +378,6 @@ class NodeRuntime {
   void AdoptPlan(const Plan* plan, uint64_t at_period);
   void RequestMigrationState(const Plan* old_plan, const Plan* new_plan);
 
-  // --- strategy install plane ---
-  void HandleStrategyPatch(const Packet& packet, const StrategyPatchMessage& msg);
-  void HandleStrategyFull(const Packet& packet, const StrategyFullMessage& msg);
-  // Escalates a failed install shipment back to the distributor.
-  void SendInstallNack(NodeId distributor, uint64_t target_fp);
-
   // --- gossip dissemination ---
   // An active fault (other than delay / value corruption) silences this
   // node's dissemination sends, mirroring the heartbeat discipline.
@@ -436,7 +415,7 @@ class NodeRuntime {
   std::shared_ptr<BlockPool> arena_;  // payload freelist (shared, see owner)
 
   InstallEngine install_;               // installed-strategy state (install plane)
-  std::unique_ptr<GossipSession> gossip_;  // per-rollout Trickle agent (gossip mode)
+  std::unique_ptr<GossipSession> gossip_;  // per-rollout Trickle agent
   const Plan* plan_ = nullptr;          // active plan
   const Plan* pending_plan_ = nullptr;  // adopted at next period boundary
   FaultSet fault_set_;

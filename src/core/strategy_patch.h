@@ -148,9 +148,9 @@ enum class StrategyWireFormat {
 
 // Everything a distributor needs to roll a strategy edit out to the nodes
 // (see BtrRuntime::ScheduleStrategyInstall): per-node base slices (the
-// pre-deployed install), per-node patch slices (the delta shipment), and
-// per-node full target slices (the fallback a node requests when a patch
-// fails to apply).
+// pre-deployed install), per-node patch slices (the delta a leaf pulls),
+// and per-node full target slices (what a leaf pulls when its patch fails
+// to apply).
 struct StrategyUpdate {
   StrategyWireFormat format = StrategyWireFormat::kV2Text;
   uint64_t base_fp = 0;
@@ -163,8 +163,8 @@ struct StrategyUpdate {
   std::vector<std::string> base_slices;  // per node: installed-before state (always text)
   std::vector<std::string> patch_slices; // per node: sliced patch, wire format
   std::vector<std::string> full_slices;  // per node: full target slice, wire format
-  // Per node: fingerprint of full_slices[n]'s shipped bytes. Travels with a
-  // fallback shipment so the receiver can content-verify the artifact —
+  // Per node: fingerprint of full_slices[n]'s shipped bytes. Travels with
+  // the slice's transfer so the receiver can content-verify the artifact —
   // the slice's own SFP record chains to the parent blob, not to its own
   // bytes, so it cannot detect in-transit corruption of a table row.
   std::vector<uint64_t> slice_fps;

@@ -1,10 +1,11 @@
-// Trickle-style gossip dissemination for the install plane.
+// Trickle-style gossip dissemination: the one way a strategy rollout
+// reaches the nodes.
 //
-// PR 4's rollout was one distributor unicasting N copies of the same bytes,
-// paced at the first-hop serialization rate; on a shared bus that is N-1
-// redundant transmissions, and the burst starves the distributor's own
-// control-class heartbeats into false omission convictions (the failure mode
-// convoy_staged_task.btrx used to annotate with heartbeats=0).
+// Shipping N copies of the same bytes point-to-point from one distributor
+// is N-1 redundant transmissions on a shared bus, and the burst starves
+// the distributor's own control-class heartbeats into false omission
+// convictions. Gossip instead lets every node that holds the target relay
+// it one hop further, paced around the heartbeat cadence.
 //
 // This module holds the transport-agnostic protocol core, in the spirit of
 // Trickle (Levis et al.):
@@ -38,24 +39,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "src/common/types.h"
 
 namespace btr {
 
-enum class DissemMode : uint8_t {
-  kUnicast = 0,  // PR 4 behavior: distributor ships point-to-point
-  kGossip = 1,   // beacons + suppression + multi-hop relay
-};
-
-const char* DissemModeName(DissemMode mode);
-// Returns true and sets *mode on "unicast" / "gossip".
-bool ParseDissemMode(const std::string& text, DissemMode* mode);
-
 struct DissemConfig {
-  DissemMode mode = DissemMode::kUnicast;
   // Minimum Trickle interval. 0 means "one workload period", resolved when
   // the session starts (the natural beat of the system being edited).
   SimDuration beacon_period = 0;
@@ -77,7 +67,7 @@ struct DissemConfig {
 
 // What a chunk stream carries. Relay-capable nodes receive the full artifact
 // (they re-serve it); leaf nodes (single-neighbor) receive only their own
-// slice, which is where gossip's bytes-on-bus win over unicast comes from.
+// slice.
 enum class DissemContent : uint8_t {
   kPatchFull = 0,   // whole BTRPATCH (parse + carve own slice, then relay)
   kPatchSlice = 1,  // per-node BTRPATCH slice (apply only)
@@ -219,12 +209,16 @@ struct GossipSession {
   uint32_t request_attempt = 0;  // guards the progress-timeout event
   uint32_t progress_mark = 0;    // rx.received at the last progress check
   bool want_blob = false;        // patch path failed; pull the blob artifact
+  // Artifacts pulled whose text did not match their content fingerprint;
+  // the runtime caps these per rollout.
+  uint32_t verify_failures = 0;
 
   bool relay = false;      // holds the full artifact; may serve others
   bool blob_mode = false;  // rollout ships blob artifacts (kFullBlob)
   // A content-verified blob artifact refused to install (it does not chain
-  // to the target): re-pulling cannot help, so the agent goes silent
-  // instead of beaconing its stale version forever.
+  // to the target), or every pull failed content verification up to the
+  // cap: re-pulling cannot help, so the agent goes silent instead of
+  // beaconing its stale version forever.
   bool gave_up = false;
 
   std::deque<PendingServe> serve_queue;

@@ -62,9 +62,6 @@ enum class PayloadKind : uint8_t {
   kHeartbeat,
   kStateRequest,
   kStateTransfer,
-  kStrategyPatch,  // install plane: sliced strategy patch (delta install)
-  kStrategyFull,   // install plane: full node slice (fallback install)
-  kInstallNack,    // install plane: node requests the full slice
   kDissemBeacon,   // gossip install: version-announcing Trickle beacon
   kDissemRequest,  // gossip install: pull request (with resume offset)
   kDissemChunk,    // gossip install: one paced chunk of an artifact
@@ -105,7 +102,7 @@ struct NetworkConfig {
   // the raw sizes (legacy behavior). The sharded engine relies on a nonzero
   // floor: the conservative lookahead is the serialization time of the
   // smallest possible frame plus propagation, so BtrSystem pins this to the
-  // smallest real protocol message (kInstallNackBytes = 24) for every run
+  // smallest real protocol message (kDissemRequestBytes = 24) for every run
   // regardless of shard count — the floor must be layout-invariant.
   uint32_t min_frame_bytes = 0;
 };
@@ -133,7 +130,6 @@ class Network {
 
   // Installs the routing table (a plan installs routes avoiding faulty nodes).
   void SetRouting(std::shared_ptr<const RoutingTable> routing);
-  const RoutingTable* routing() const { return routing_.get(); }
 
   // Sends `payload` from src to dst; returns the message id, or an invalid id
   // if the destination is unreachable under current routing.

@@ -531,10 +531,6 @@ std::string SerializeExperimentSpec(const ExperimentSpec& spec) {
   if (spec.shards != 0) {
     out += " shards=" + std::to_string(spec.shards);
   }
-  if (spec.dissem != DissemMode::kUnicast) {
-    out += " dissem=";
-    out += DissemModeName(spec.dissem);
-  }
   if (spec.beacon_period != 0) {
     out += " beacon-us=" + Us(spec.beacon_period);
   }
@@ -856,10 +852,10 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         }
         spec.shards = static_cast<uint32_t>(shards);
       }
-      if (kv.Take("dissem", &value)) {
-        if (!ParseDissemMode(std::string(value), &spec.dissem)) {
-          return LineError(line_no, "dissem= must be unicast or gossip");
-        }
+      // Gossip is the only install protocol; older scripts name it
+      // explicitly, so the key is accepted and not re-emitted.
+      if (kv.Take("dissem", &value) && value != "gossip") {
+        return LineError(line_no, "dissem= must be gossip (the only install protocol)");
       }
       if (kv.Take("beacon-us", &value)) {
         if (!ParseDurationUs(value, &spec.beacon_period) || spec.beacon_period == 0) {

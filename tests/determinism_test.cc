@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/btr_system.h"
+#include "src/spec/experiment_runner.h"
+#include "src/spec/experiment_spec.h"
 #include "src/workload/generators.h"
 
 namespace btr {
@@ -210,6 +214,34 @@ TEST(ShardInvariance, TransientHealingFaultByteIdenticalAcrossShardCounts) {
     transient.behavior = FaultBehavior::kValueCorruption;
     system.AddFault(transient);
   });
+}
+
+TEST(ShardInvariance, AvionicsFlapRolloutByteIdenticalAcrossShardCounts) {
+  // The shipped flap script: a gossip rollout while the value corrupter,
+  // convicted before the rollout starts, is isolated by its neighbors.
+  // Which node is excused from completion, and when the last of the others
+  // installs, must not depend on the shard layout.
+  std::ifstream in(std::string(BTR_SOURCE_DIR) + "/examples/specs/avionics_flap.btrx");
+  ASSERT_TRUE(in.good()) << "examples/specs/avionics_flap.btrx is missing";
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string baseline;
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    auto spec = ParseExperimentSpec(text.str());
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    spec->shards = shards;
+    auto report = RunExperiment(*spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const InstallRunReport& install = report->phases[0].install;
+    EXPECT_NE(install.completed_at, kSimTimeNever) << "shards=" << shards;
+    const std::string dump = SerializeExperimentReport(*report);
+    if (shards == 1) {
+      baseline = dump;
+      ASSERT_FALSE(baseline.empty());
+    } else {
+      EXPECT_EQ(dump, baseline) << "flap report diverged at shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

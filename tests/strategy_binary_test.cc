@@ -767,7 +767,7 @@ TEST(StrategyBinarySpec, PaceFractionAndWireRoundTripCanonically) {
       "BTRX 1\n"
       "NAME fmt\n"
       "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip pace-fraction=0.125 wire=v4\n"
+      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.125 wire=v4\n"
       "PHASE periods=10\n"
       "END\n";
   auto spec = ParseExperimentSpec(text);
@@ -835,8 +835,8 @@ std::string RolloutSpecText(const std::string& extra_config) {
 }
 
 TEST(StrategyBinaryE2E, GossipV4RolloutInstallsEverywhereAndShipsFewerBytes) {
-  auto v2_spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip"));
-  auto v4_spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip wire=v4"));
+  auto v2_spec = ParseExperimentSpec(RolloutSpecText(""));
+  auto v4_spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
   ASSERT_TRUE(v2_spec.ok() && v4_spec.ok());
   auto v2 = RunExperiment(*v2_spec);
   auto v4 = RunExperiment(*v4_spec);
@@ -864,7 +864,7 @@ TEST(StrategyBinaryE2E, GossipV4RolloutInstallsEverywhereAndShipsFewerBytes) {
 TEST(StrategyBinaryE2E, V4ReportsAreByteIdenticalAcrossShardCounts) {
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip wire=v4"));
+    auto spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
     ASSERT_TRUE(spec.ok());
     spec->shards = shards;
     auto report = RunExperiment(*spec);

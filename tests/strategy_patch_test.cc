@@ -598,20 +598,22 @@ TEST(StrategyPatchCorruption, WrongBaseAndWrongNodeRefused) {
 // --- install flow over the simulated network ------------------------------
 
 TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
-  // Plan an avionics system, edit it (link flap), and roll the patched
-  // strategy out over the simulated network as control traffic.
+  // Plan an avionics system, edit it (link flap), and gossip the patched
+  // strategy over the simulated network as control traffic.
   Scenario scenario = MakeAvionicsScenario(6);
   // Strictly worse than the dual backbone, so no route ever rides it and
   // removing it changes no schedule body (the patch stays tiny).
   scenario.topology.AddLink({NodeId(2), NodeId(3)}, 25'000'000, Microseconds(50), "xlink");
+  // A pendant node hanging off the distributor: its only neighbor serves it
+  // its own slice (patch slice, then blob slice) instead of the unsliced
+  // artifacts every bus node pulls and relays.
+  const NodeId leaf = scenario.topology.AddNode();
+  scenario.topology.AddLink({NodeId(0), leaf}, 100'000'000, Microseconds(50), "leaflink");
   BtrConfig config;
   config.planner.max_faults = 1;
   config.planner.recovery_bound = Milliseconds(500);
-  // Heartbeats share the control class with install traffic; a bursty
-  // distributor can delay its own heartbeats past a period boundary and
-  // get falsely convicted for omission. Pacing the rollout is the
-  // ROADMAP's dissemination-scheduling item; this test isolates the
-  // install plane itself.
+  // Heartbeats off isolates the install plane: no omission detector runs
+  // alongside the rollout.
   config.runtime.heartbeats = false;
   BtrSystem system(scenario, config);
   ASSERT_TRUE(system.Plan().ok());
@@ -635,9 +637,14 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
   ASSERT_TRUE(update_or.ok());
 
   const Topology& topo = system.scenario().topology;
+  const size_t node_count = topo.node_count();
+  // Every node but the distributor (node 0) and the leaf sits on the bus.
+  const size_t bus_pullers = node_count - 2;
   const SimDuration period = system.scenario().workload.period();
+  // Runs the rollout to completion (the simulation must drain) and records
+  // the strategy fingerprint every node ends up on.
   auto run_install = [&](std::shared_ptr<const StrategyUpdate> update,
-                         InstallRunReport* report) {
+                         InstallRunReport* report, std::vector<uint64_t>* node_fps) {
     Simulator sim(config.seed);
     Network network(&sim, &topo, config.planner.network);
     Rng key_rng(config.seed ^ 0x5eedc0deULL);
@@ -662,12 +669,27 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
     runtime.ScheduleStrategyInstall(2 * period + 1, std::move(update), NodeId(0));
     sim.RunToCompletion();
     *report = runtime.install_report();
+    node_fps->clear();
+    for (uint32_t n = 0; n < topo.node_count(); ++n) {
+      node_fps->push_back(runtime.node(NodeId(n))->install_engine().strategy_fingerprint());
+    }
+  };
+  // Changes one digit of the first T-row duration: the text stays
+  // structurally valid, only its bytes (and so its content fingerprint)
+  // differ.
+  auto poison_t_row = [](std::string* text) {
+    const size_t t_row = text->find("\nT ");
+    ASSERT_NE(t_row, std::string::npos);
+    const size_t line_end = text->find('\n', t_row + 1);
+    char& digit = (*text)[line_end - 1];
+    digit = digit == '7' ? '8' : '7';
   };
 
-  // Clean rollout: every node reaches the target via its patch slice.
+  // Clean rollout: every node reaches the target via the patch artifacts.
   InstallRunReport clean;
-  run_install(std::make_shared<const StrategyUpdate>(*update_or), &clean);
-  EXPECT_EQ(clean.nodes_installed, topo.node_count());
+  std::vector<uint64_t> fps;
+  run_install(std::make_shared<const StrategyUpdate>(*update_or), &clean, &fps);
+  EXPECT_EQ(clean.nodes_installed, node_count);
   EXPECT_EQ(clean.fallbacks, 0u);
   EXPECT_NE(clean.completed_at, kSimTimeNever);
   EXPECT_GT(clean.completed_at, clean.started_at);
@@ -675,39 +697,79 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
   // let alone blob-per-node.
   EXPECT_LT(clean.patch_bytes_sent, target_blob.size());
   EXPECT_EQ(clean.full_bytes_sent, 0u);
+  for (uint64_t fp : fps) {
+    EXPECT_EQ(fp, update_or->target_fp);
+  }
 
-  // Corrupt one node's patch in transit: that node must detect it, nack,
-  // and converge through the full-slice fallback.
+  // Bus nodes pull the unsliced patch. Make it intact on the wire (its
+  // content fingerprint matches) but unappliable: every bus node that pulls
+  // it must refuse it and converge through the blob fallback, once each.
+  // The leaf pulls its own (intact) patch slice and needs no fallback.
   StrategyUpdate corrupted = *update_or;
-  corrupted.patch_slices[3][corrupted.patch_slices[3].size() / 2] ^= 0x20;
+  corrupted.patch_full[corrupted.patch_full.size() / 2] ^= 0x20;
+  corrupted.patch_full_fp = FingerprintStrategyText(corrupted.patch_full);
   InstallRunReport fallback;
-  run_install(std::make_shared<const StrategyUpdate>(corrupted), &fallback);
-  EXPECT_EQ(fallback.nodes_installed, topo.node_count());
-  EXPECT_EQ(fallback.fallbacks, 1u);
-  EXPECT_GT(fallback.full_bytes_sent, 0u);
+  run_install(std::make_shared<const StrategyUpdate>(corrupted), &fallback, &fps);
+  EXPECT_EQ(fallback.nodes_installed, node_count);
+  EXPECT_EQ(fallback.fallbacks, bus_pullers);
+  // Whole blobs only, at least one per bus node. A node whose request waits
+  // behind another transfer re-asks a second relay and both serves run to
+  // the end, so the count is not exact (README "Gossip dissemination").
+  EXPECT_GE(fallback.full_bytes_sent, bus_pullers * target_blob.size());
+  EXPECT_EQ(fallback.full_bytes_sent % target_blob.size(), 0u);
   EXPECT_NE(fallback.completed_at, kSimTimeNever);
+  for (uint64_t fp : fps) {
+    EXPECT_EQ(fp, update_or->target_fp);
+  }
 
-  // Corrupt the fallback slice too — by one digit of a T-row duration, so
-  // the text still validates structurally and its SFP record (which chains
-  // to the blob, not to its own bytes) is intact. Only the shipment's
-  // content fingerprint can catch this; the node must keep nacking rather
-  // than install it, and the distributor must give up after the per-node
-  // cap instead of ping-ponging forever.
+  // Poison the blob too, by one T-row digit, without updating
+  // target_blob_fp. Every node still carves a structurally valid slice
+  // from it. Each bus node must fail content verification on every pull,
+  // stop after the per-node cap, and keep its base slice; the run drains.
   StrategyUpdate poisoned = corrupted;
-  std::string& slice3 = poisoned.full_slices[3];
-  const size_t t_row = slice3.find("\nT ");
-  ASSERT_NE(t_row, std::string::npos);
-  const size_t line_end = slice3.find('\n', t_row + 1);
-  const size_t duration_digit = line_end - 1;
-  slice3[duration_digit] = slice3[duration_digit] == '7' ? '8' : '7';
-  ASSERT_TRUE(ValidateSliceText(slice3, 3).ok());  // structurally sound...
+  poison_t_row(&poisoned.target_blob);
+  for (uint32_t n = 0; n < node_count; ++n) {
+    StatusOr<std::string> carved = ExtractSlice(poisoned.target_blob, n);
+    ASSERT_TRUE(carved.ok()) << "node " << n;
+    ASSERT_TRUE(ValidateSliceText(*carved, n).ok()) << "node " << n;
+  }
   InstallRunReport poisoned_report;
-  run_install(std::make_shared<const StrategyUpdate>(poisoned), &poisoned_report);
-  // ...yet never installed: node 3 stays on its base slice, everyone else
-  // converges, and the retry loop is bounded.
-  EXPECT_EQ(poisoned_report.nodes_installed, topo.node_count() - 1);
-  EXPECT_EQ(poisoned_report.fallbacks, kMaxInstallFallbacksPerNode);
+  run_install(std::make_shared<const StrategyUpdate>(poisoned), &poisoned_report, &fps);
+  EXPECT_EQ(poisoned_report.nodes_installed, 2u);  // the distributor and the leaf
+  EXPECT_EQ(poisoned_report.fallbacks, bus_pullers);
   EXPECT_EQ(poisoned_report.completed_at, kSimTimeNever);
+  size_t on_base = 0;
+  for (uint32_t n = 0; n < node_count; ++n) {
+    const bool installs = n == 0 || NodeId(n) == leaf;
+    EXPECT_EQ(fps[n], installs ? update_or->target_fp : update_or->base_fp) << "node " << n;
+    on_base += fps[n] == update_or->base_fp ? 1 : 0;
+  }
+  EXPECT_EQ(on_base, bus_pullers);
+  // Bounded retries: each bus node pulled the poisoned blob exactly the cap.
+  EXPECT_EQ(poisoned_report.full_bytes_sent,
+            on_base * kMaxVerifyFailuresPerNode * poisoned.target_blob.size());
+
+  // Poison the leaf's blob slice by one T-row digit, and make its patch
+  // slice unappliable so it falls back to that blob slice. The slice's SFP
+  // record chains to the target blob, not to its own bytes, so the slice
+  // passes structural validation and the chain check: only content
+  // verification can stop it. The leaf must keep its base slice after the
+  // cap; everyone else converges.
+  StrategyUpdate poisoned_slice = *update_or;
+  std::string& leaf_patch = poisoned_slice.patch_slices[leaf.value()];
+  leaf_patch[leaf_patch.size() / 2] ^= 0x20;
+  std::string& leaf_slice = poisoned_slice.full_slices[leaf.value()];
+  poison_t_row(&leaf_slice);
+  StatusOr<uint64_t> leaf_sfp = ValidateSliceText(leaf_slice, leaf.value());
+  ASSERT_TRUE(leaf_sfp.ok());
+  ASSERT_EQ(*leaf_sfp, update_or->target_fp);
+  InstallRunReport slice_report;
+  run_install(std::make_shared<const StrategyUpdate>(poisoned_slice), &slice_report, &fps);
+  EXPECT_EQ(slice_report.nodes_installed, node_count - 1);
+  EXPECT_EQ(slice_report.fallbacks, 1u);
+  EXPECT_EQ(slice_report.completed_at, kSimTimeNever);
+  EXPECT_EQ(fps[leaf.value()], update_or->base_fp);
+  EXPECT_EQ(slice_report.full_bytes_sent, kMaxVerifyFailuresPerNode * leaf_slice.size());
 }
 
 }  // namespace
