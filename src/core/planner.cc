@@ -119,20 +119,23 @@ void Planner::RecordRebuildMetrics(size_t dirty_modes, size_t clean_modes,
   metrics_.rebuild_migrated_bodies = migrated_bodies;
 }
 
-StatusOr<Plan> Planner::TryPlan(const FaultSet& faults, const std::vector<const Plan*>& parents,
-                                const std::vector<TaskId>& served_sinks,
-                                const std::shared_ptr<const RoutingTable>& routing) const {
+StatusOr<Plan> Planner::TryPlan(ModeContext* ctx, const std::vector<const Plan*>& parents,
+                                const std::vector<TaskId>& served_sinks) const {
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++metrics_.schedule_attempts;
   }
-  ModeContext ctx = placement_->PrepareContext(faults, routing);
-  placement_->ActivateTasks(&ctx, served_sinks);
-  Status placed = placement_->Place(&ctx, parents);
+  // Only the attempt part of the context is reset; availability, routing
+  // and vulnerability depend on the mode alone.
+  ctx->active.assign(graph_->size(), false);
+  ctx->placement.assign(graph_->size(), NodeId::Invalid());
+  ctx->node_load.assign(topo_->node_count(), 0);
+  placement_->ActivateTasks(ctx, served_sinks);
+  Status placed = placement_->Place(ctx, parents);
   if (!placed.ok()) {
     return placed;
   }
-  StatusOr<PlanBody> body = schedule_->BuildBody(ctx, served_sinks);
+  StatusOr<PlanBody> body = schedule_->BuildBody(*ctx, served_sinks);
   if (!body.ok()) {
     return body.status();
   }
@@ -140,10 +143,10 @@ StatusOr<Plan> Planner::TryPlan(const FaultSet& faults, const std::vector<const 
     const size_t scheduled = static_cast<size_t>(
         std::count_if(body->placement.begin(), body->placement.end(),
                       [](NodeId n) { return n.valid(); }));
-    BTR_LOG(kDebug, "planner") << "mode " << faults.ToString() << " scheduled " << scheduled
-                               << " jobs";
+    BTR_LOG(kDebug, "planner") << "mode " << ctx->faults.ToString() << " scheduled "
+                               << scheduled << " jobs";
   }
-  return Plan(faults, routing, std::move(body).value());
+  return Plan(ctx->faults, ctx->routing, std::move(body).value());
 }
 
 StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
@@ -159,8 +162,9 @@ StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
   // Stage: sink admission (which flows can run at all, shedding order).
   std::vector<TaskId> served = admission_->Admit(faults);
 
+  ModeContext ctx = placement_->PrepareContext(faults, std::move(routing));
   for (;;) {
-    StatusOr<Plan> attempt = TryPlan(faults, parents, served, routing);
+    StatusOr<Plan> attempt = TryPlan(&ctx, parents, served);
     if (attempt.ok()) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
       ++metrics_.modes_planned;

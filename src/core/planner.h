@@ -111,9 +111,10 @@ class Planner {
                             size_t migrated_bodies) const;
 
  private:
-  StatusOr<Plan> TryPlan(const FaultSet& faults, const std::vector<const Plan*>& parents,
-                         const std::vector<TaskId>& served_sinks,
-                         const std::shared_ptr<const RoutingTable>& routing) const;
+  // One placement + schedule attempt for `served_sinks` on the mode's
+  // prepared context.
+  StatusOr<Plan> TryPlan(ModeContext* ctx, const std::vector<const Plan*>& parents,
+                         const std::vector<TaskId>& served_sinks) const;
 
   const Topology* topo_;
   const Dataflow* workload_;

@@ -80,12 +80,12 @@ SimDuration LatencyModel::EdgeBudget(NodeId from, NodeId to, uint32_t bytes,
   if (from == to) {
     return 0;
   }
-  const Route& route = routing.RouteBetween(from, to);
-  if (route.empty()) {
+  if (!routing.Reachable(from, to)) {
     return -1;  // unreachable under this mode's routing
   }
+  // Integer sum, so walking the hops last-first gives the same budget.
   SimDuration budget = 0;
-  for (const Hop& hop : route) {
+  routing.ForEachHopReversed(from, to, [&](const Hop& hop) {
     // The message's own serialization gets the contention headroom factor;
     // queueing is bounded separately: in the worst case every other
     // foreground byte the transmitting node sends this period is ahead of
@@ -99,7 +99,7 @@ SimDuration LatencyModel::EdgeBudget(NodeId from, NodeId to, uint32_t bytes,
       budget += SerializationOnHop(hop, clamped);
     }
     budget += topo_->link(hop.link).propagation;
-  }
+  });
   return budget + config_->epsilon;
 }
 
@@ -159,9 +159,6 @@ ModeContext PlacementStage::PrepareContext(const FaultSet& faults,
     }
   }
   ctx.routing = std::move(routing);
-  ctx.active.assign(graph_->size(), false);
-  ctx.placement.assign(graph_->size(), NodeId::Invalid());
-  ctx.node_load.assign(node_count, 0);
 
   // Lookahead vulnerability: for each available node v, in how many
   // single-further-fault scenarios does v end up cut off from the part of
@@ -229,68 +226,9 @@ void PlacementStage::ActivateTasks(ModeContext* ctx,
   }
 }
 
-double PlacementStage::Score(const ModeContext& ctx, uint32_t aug_id, NodeId candidate,
-                             const std::vector<const Plan*>& parents) const {
-  const AugTask& task = graph_->task(aug_id);
-  const SimDuration period = workload_->period();
-
-  double score = config_->weight_load *
-                 static_cast<double>(ctx.node_load[candidate.value()] + task.wcet) /
-                 static_cast<double>(period);
-
-  if (config_->locality_heuristic) {
-    double comm = 0.0;
-    auto add_peer = [&](uint32_t peer, uint32_t bytes) {
-      if (!ctx.active[peer] || !ctx.placement[peer].valid()) {
-        return;
-      }
-      const size_t hops = ctx.routing->HopCount(candidate, ctx.placement[peer]);
-      comm += static_cast<double>(hops) * static_cast<double>(bytes);
-    };
-    for (const AugEdge& e : graph_->InEdges(aug_id)) {
-      add_peer(e.from, e.bytes);
-    }
-    for (const AugEdge& e : graph_->OutEdges(aug_id)) {
-      add_peer(e.to, e.bytes);
-    }
-    score += config_->weight_locality * comm / 10000.0;
-  }
-
-  if (config_->parent_stickiness && !parents.empty()) {
-    bool same_slot = false;   // candidate held this very replica before
-    bool has_state = false;   // candidate held *some* replica of the task
-    for (const Plan* parent : parents) {
-      if (parent == nullptr) {
-        continue;
-      }
-      if (parent->placement()[aug_id] == candidate) {
-        same_slot = true;
-      }
-      if (task.kind == AugKind::kWorkload) {
-        for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
-          if (parent->placement()[sibling] == candidate) {
-            has_state = true;
-          }
-        }
-      }
-    }
-    if (!same_slot) {
-      // Moving is expensive; moving somewhere that already has the task's
-      // state (a sibling replica) costs half as much.
-      score += config_->weight_parent * (has_state ? 0.5 : 1.0);
-    }
-  }
-
-  if (config_->lookahead && task.state_bytes > 0) {
-    const double state_scale = 1.0 + static_cast<double>(task.state_bytes) / 4096.0;
-    score += config_->weight_lookahead *
-             static_cast<double>(ctx.vulnerability[candidate.value()]) * state_scale / 10.0;
-  }
-  return score;
-}
-
 Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const {
-  const size_t node_count = topo_->node_count();
+  const RoutingTable& routing = *ctx->routing;
+  const double period = static_cast<double>(workload_->period());
 
   // Deterministic order: workload topological order, replicas ascending,
   // then the task's checker; verifiers are pinned anyway.
@@ -310,6 +248,22 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
     order.push_back(graph_->VerifierOf(n));
   }
 
+  // Candidate-independent inputs of one task, gathered once per task and
+  // reused (capacity included) across tasks.
+  struct Peer {
+    NodeId node;
+    uint32_t bytes;
+    bool out;  // an out-edge peer: the candidate must reach it
+  };
+  std::vector<Peer> peers;          // placed active peers, in-edges then out-edges
+  std::vector<NodeId> banned;       // nodes of placed sibling replicas
+  std::vector<NodeId> parent_slot;  // parents' nodes for this very replica
+  std::vector<NodeId> parent_state; // parents' nodes for any replica of the task
+  auto contains = [](const std::vector<NodeId>& nodes, NodeId n) {
+    return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
+  };
+  const bool parent_term = config_->parent_stickiness && !parents.empty();
+
   for (uint32_t aug_id : order) {
     const AugTask& task = graph_->task(aug_id);
     if (task.pinned.valid()) {
@@ -320,43 +274,87 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
       ctx->node_load[task.pinned.value()] += task.wcet;
       continue;
     }
-    // Hard constraints.
-    std::vector<bool> banned(node_count, false);
+    // Hard constraint: replicas are dispersed over distinct nodes.
+    banned.clear();
     if (task.kind == AugKind::kWorkload || task.kind == AugKind::kChecker) {
       for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
         if (sibling != aug_id && ctx->active[sibling] && ctx->placement[sibling].valid()) {
-          banned[ctx->placement[sibling].value()] = true;
+          banned.push_back(ctx->placement[sibling]);
         }
       }
     }
     // Connectivity constraint: the candidate must be able to exchange
     // messages with every already-placed communication peer (a fault can
-    // disconnect part of the topology).
-    auto reachable_to_peers = [&](NodeId cand) {
-      for (const AugEdge& e : graph_->InEdges(aug_id)) {
-        if (ctx->active[e.from] && ctx->placement[e.from].valid() &&
-            !ctx->routing->Reachable(ctx->placement[e.from], cand)) {
-          return false;
+    // disconnect part of the topology). The same peers, in edge order,
+    // feed the locality term.
+    peers.clear();
+    for (const AugEdge& e : graph_->InEdges(aug_id)) {
+      if (ctx->active[e.from] && ctx->placement[e.from].valid()) {
+        peers.push_back(Peer{ctx->placement[e.from], e.bytes, false});
+      }
+    }
+    for (const AugEdge& e : graph_->OutEdges(aug_id)) {
+      if (ctx->active[e.to] && ctx->placement[e.to].valid()) {
+        peers.push_back(Peer{ctx->placement[e.to], e.bytes, true});
+      }
+    }
+    parent_slot.clear();
+    parent_state.clear();
+    if (parent_term) {
+      for (const Plan* parent : parents) {
+        if (parent == nullptr) {
+          continue;
+        }
+        parent_slot.push_back(parent->placement()[aug_id]);
+        if (task.kind == AugKind::kWorkload) {
+          for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
+            parent_state.push_back(parent->placement()[sibling]);
+          }
         }
       }
-      for (const AugEdge& e : graph_->OutEdges(aug_id)) {
-        if (ctx->active[e.to] && ctx->placement[e.to].valid() &&
-            !ctx->routing->Reachable(cand, ctx->placement[e.to])) {
-          return false;
-        }
-      }
-      return true;
-    };
+    }
+    const bool lookahead_term = config_->lookahead && task.state_bytes > 0;
+    const double state_scale = 1.0 + static_cast<double>(task.state_bytes) / 4096.0;
+
+    // Greedy choice: the lowest score wins, ties go to the first candidate.
     NodeId best;
     double best_score = 0.0;
     for (NodeId cand : ctx->available_list) {
-      if (banned[cand.value()]) {
+      if (contains(banned, cand)) {
         continue;
       }
-      if (!reachable_to_peers(cand)) {
+      bool reachable = true;
+      for (const Peer& p : peers) {
+        if (!(p.out ? routing.Reachable(cand, p.node) : routing.Reachable(p.node, cand))) {
+          reachable = false;
+          break;
+        }
+      }
+      if (!reachable) {
         continue;
       }
-      const double score = Score(*ctx, aug_id, cand, parents);
+      // Load balance.
+      double score = config_->weight_load *
+                     static_cast<double>(ctx->node_load[cand.value()] + task.wcet) / period;
+      // Locality: hop-weighted bytes to the placed peers.
+      if (config_->locality_heuristic) {
+        double comm = 0.0;
+        for (const Peer& p : peers) {
+          comm += static_cast<double>(routing.HopCount(cand, p.node)) *
+                  static_cast<double>(p.bytes);
+        }
+        score += config_->weight_locality * comm / 10000.0;
+      }
+      // Parent stickiness: moving is expensive; moving somewhere that
+      // already has the task's state (a sibling replica) costs half as much.
+      if (parent_term && !contains(parent_slot, cand)) {
+        score += config_->weight_parent * (contains(parent_state, cand) ? 0.5 : 1.0);
+      }
+      // Strategic lookahead: avoid nodes a further fault would strand.
+      if (lookahead_term) {
+        score += config_->weight_lookahead *
+                 static_cast<double>(ctx->vulnerability[cand.value()]) * state_scale / 10.0;
+      }
       if (!best.valid() || score < best_score) {
         best = cand;
         best_score = score;

@@ -31,16 +31,20 @@
 
 namespace btr {
 
-// Per-mode planning state threaded through the stages.
+// Per-mode planning state threaded through the stages. The mode part is
+// built once per mode (PrepareContext); each shed attempt (re)sizes and
+// clears only the attempt part (Planner::TryPlan).
 struct ModeContext {
+  // Mode part: a function of the fault set and routing alone.
   FaultSet faults;
   std::vector<bool> available;                       // per node
   std::vector<NodeId> available_list;
   std::shared_ptr<const RoutingTable> routing;
+  std::vector<int> vulnerability;                    // per node: isolation risk
+  // Attempt part.
   std::vector<bool> active;                          // per aug id
   std::vector<NodeId> placement;                     // per aug id
   std::vector<SimDuration> node_load;                // accumulated busy time
-  std::vector<int> vulnerability;                    // per node: isolation risk
 };
 
 // Stage 1: mode enumeration. Fault sets of size k over [0, node_count), in
@@ -119,7 +123,8 @@ class PlacementStage {
   // needs one spare comparison point.
   uint32_t ReplicasInMode(size_t manifested) const;
 
-  // Availability, routing handle, and the lookahead vulnerability score.
+  // The mode part of the context: availability, routing handle, and the
+  // lookahead vulnerability score. The attempt part is left empty.
   ModeContext PrepareContext(const FaultSet& faults,
                              std::shared_ptr<const RoutingTable> routing) const;
 
@@ -128,10 +133,10 @@ class PlacementStage {
   void ActivateTasks(ModeContext* ctx, const std::vector<TaskId>& served_sinks) const;
 
   // Greedy scored placement of every active task; fills ctx->placement.
+  // A candidate's score (lower wins) sums load balance, hop-weighted
+  // locality to placed peers, parent stickiness and lookahead
+  // vulnerability.
   Status Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const;
-
-  double Score(const ModeContext& ctx, uint32_t aug_id, NodeId candidate,
-               const std::vector<const Plan*>& parents) const;
 
   // Placement reads topology structure (hop counts, reachability,
   // adjacency-based vulnerability) and the active-task universe, but not

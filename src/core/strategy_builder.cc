@@ -101,23 +101,28 @@ constexpr uint32_t kNoLink = UINT32_MAX;
 
 // Hop-for-hop route equality with the old table's link ids translated into
 // the new id space: a hop matches only if it rides the same *physical*
-// link, not merely the same numeric id.
+// link, not merely the same numeric id. Compared on the trees: every route
+// is its last hop appended to the route to that hop's sender, so equal hop
+// counts and equal (translated) last hops for every pair mean equal routes.
 bool RoutesEquivalent(const RoutingTable& old_routing, const RoutingTable& new_routing,
                       size_t node_count, const std::vector<uint32_t>& new_link_from_old) {
   for (uint32_t src = 0; src < node_count; ++src) {
     for (uint32_t dst = 0; dst < node_count; ++dst) {
-      const Route& old_route = old_routing.RouteBetween(NodeId(src), NodeId(dst));
-      const Route& new_route = new_routing.RouteBetween(NodeId(src), NodeId(dst));
-      if (old_route.size() != new_route.size()) {
+      const NodeId s(src);
+      const NodeId d(dst);
+      const size_t hops = old_routing.HopCount(s, d);
+      if (hops != new_routing.HopCount(s, d)) {
         return false;
       }
-      for (size_t h = 0; h < old_route.size(); ++h) {
-        const uint32_t translated = new_link_from_old[old_route[h].link.value()];
-        if (old_route[h].sender != new_route[h].sender ||
-            old_route[h].receiver != new_route[h].receiver || translated == kNoLink ||
-            translated != new_route[h].link.value()) {
-          return false;
-        }
+      if (hops == 0) {
+        continue;
+      }
+      const Hop old_hop = old_routing.LastHop(s, d);
+      const Hop new_hop = new_routing.LastHop(s, d);
+      const uint32_t translated = new_link_from_old[old_hop.link.value()];
+      if (old_hop.sender != new_hop.sender || translated == kNoLink ||
+          translated != new_hop.link.value()) {
+        return false;
       }
     }
   }

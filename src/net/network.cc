@@ -122,18 +122,18 @@ MessageId Network::Send(NodeId src, NodeId dst, uint32_t size_bytes, TrafficClas
   p->cls = cls;
   p->payload = std::move(payload);
   p->sent_at = sim_->Now();
+  routing_->RouteInto(src, dst, &p->route);  // empty for loopback
   if (loopback) {
     // Loopback: deliver immediately (no medium usage).
     sim_->After(0, [this, p]() { Deliver(p); });
   } else {
-    ForwardHop(p, routing_, 0);
+    ForwardHop(p, 0);
   }
   return id;
 }
 
-void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> routing,
-                         size_t hop_index) {
-  const Route& route = routing->RouteBetween(packet->src, packet->dst);
+void Network::ForwardHop(Packet* packet, size_t hop_index) {
+  const Route& route = packet->route;
   if (hop_index >= route.size()) {
     Deliver(packet);
     return;
@@ -185,8 +185,8 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
       loss_p > 0.0 && LossUnit(sim_->seed(), hop.link, packet->id,
                                static_cast<uint32_t>(hop_index)) < loss_p;
   // Hop state is packed so the closure fits the event queue's inline
-  // buffer; the receiver is resolved now (the captured routing table is
-  // immutable, so the arrival-time lookup gave the same answer). The
+  // buffer; the receiver is resolved now (the packet's route is fixed at
+  // Send, so the arrival-time lookup gave the same answer). The
   // arrival event is owned by the hop receiver, and the lookahead bound
   // holds for a cross-shard hop because arrival is at least
   // tx(min frame) + propagation after now.
@@ -196,7 +196,7 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
     bool lost;
   };
   const HopState hs{static_cast<uint32_t>(hop_index + 1), hop.receiver.value(), lost};
-  sim_->AtActor(hs.receiver, arrival, [this, packet, routing = std::move(routing), hs]() mutable {
+  sim_->AtActor(hs.receiver, arrival, [this, packet, hs]() {
     if (hs.lost) {
       ++stats_.packets_dropped_loss;
       ReleasePacket(packet);
@@ -207,7 +207,7 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
       ReleasePacket(packet);
       return;
     }
-    ForwardHop(packet, std::move(routing), hs.next_hop);
+    ForwardHop(packet, hs.next_hop);
   });
 }
 

@@ -84,6 +84,9 @@ struct Packet {
   PayloadPtr payload;
   SimTime sent_at = 0;
   SimTime delivered_at = 0;
+  // The send-time route, copied once at Send: a routing swap while the
+  // packet is in flight does not reroute it. Empty for loopback.
+  Route route;
 };
 
 using DeliveryFn = std::function<void(const Packet&)>;
@@ -180,8 +183,7 @@ class Network {
   Packet* AcquirePacket();
   void ReleasePacket(Packet* packet);
 
-  void ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> routing,
-                  size_t hop_index);
+  void ForwardHop(Packet* packet, size_t hop_index);
   void Deliver(Packet* packet);
 
   Simulator* sim_;

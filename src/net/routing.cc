@@ -1,14 +1,12 @@
 #include "src/net/routing.h"
 
-#include <algorithm>
-#include <cassert>
 #include <limits>
 #include <queue>
 
 namespace btr {
 
 RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excluded)
-    : n_(topo.node_count()), routes_(n_ * n_), path_propagation_(n_ * n_, 0) {
+    : n_(topo.node_count()), via_(n_ * n_), hops_(n_ * n_, 0) {
   std::vector<bool> is_excluded(n_, false);
   for (NodeId x : excluded) {
     if (x.valid() && x.value() < n_) {
@@ -18,11 +16,15 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
 
   // Dijkstra from every source over (propagation + per-hop serialization
   // epsilon) edge weights; ties broken by node id for determinism.
+  constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+  std::vector<int64_t> dist(n_);
+  std::vector<uint32_t> settled;  // settle order: a tree parent precedes its children
+  settled.reserve(n_);
   for (size_t s = 0; s < n_; ++s) {
-    const NodeId src(static_cast<uint32_t>(s));
-    constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
-    std::vector<int64_t> dist(n_, kInf);
-    std::vector<Hop> via(n_);  // hop taken to reach node i
+    TreeEdge* via = &via_[s * n_];  // tree edge taken to reach node i
+    uint32_t* hops = &hops_[s * n_];
+    dist.assign(n_, kInf);
+    settled.clear();
     using QueueEntry = std::pair<int64_t, uint32_t>;  // (dist, node)
     std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
     dist[s] = 0;
@@ -33,6 +35,7 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
       if (d > dist[u]) {
         continue;
       }
+      settled.push_back(u);
       const NodeId nu(u);
       // A relay (non-source intermediate) must not be excluded.
       if (u != s && is_excluded[u]) {
@@ -49,75 +52,62 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
           }
           if (d + w < dist[v.value()]) {
             dist[v.value()] = d + w;
-            via[v.value()] = Hop{nu, l, v};
+            via[v.value()] = TreeEdge{nu, l};
             pq.push({dist[v.value()], v.value()});
           }
         }
       }
     }
-    for (size_t t = 0; t < n_; ++t) {
-      if (t == s || dist[t] >= kInf) {
-        continue;
-      }
-      Route route;
-      SimDuration prop = 0;
-      for (uint32_t cur = static_cast<uint32_t>(t); cur != s;) {
-        const Hop& h = via[cur];
-        route.push_back(h);
-        prop += topo.link(h.link).propagation;
-        cur = h.sender.value();
-      }
-      std::reverse(route.begin(), route.end());
-      routes_[Index(src, NodeId(static_cast<uint32_t>(t)))] = std::move(route);
-      path_propagation_[Index(src, NodeId(static_cast<uint32_t>(t)))] = prop;
+    // Every edge weight is positive, so a node's tree parent settled
+    // strictly before it.
+    for (size_t i = 1; i < settled.size(); ++i) {
+      const uint32_t t = settled[i];
+      hops[t] = hops[via[t].sender.value()] + 1;
     }
   }
 }
 
-const Route& RoutingTable::RouteBetween(NodeId src, NodeId dst) const {
-  if (!src.valid() || !dst.valid() || src.value() >= n_ || dst.value() >= n_ || src == dst) {
-    return empty_;
+void RoutingTable::RouteInto(NodeId src, NodeId dst, Route* out) const {
+  const size_t count = HopCount(src, dst);
+  out->resize(count);
+  NodeId cur = dst;
+  for (size_t i = count; i > 0; --i) {
+    const Hop hop = LastHop(src, cur);
+    (*out)[i - 1] = hop;
+    cur = hop.sender;
   }
-  return routes_[Index(src, dst)];
 }
 
-bool RoutingTable::Reachable(NodeId src, NodeId dst) const {
-  if (src == dst) {
-    return true;
-  }
-  return !RouteBetween(src, dst).empty();
+Route RoutingTable::RouteBetween(NodeId src, NodeId dst) const {
+  Route route;
+  RouteInto(src, dst, &route);
+  return route;
 }
 
-size_t RoutingTable::HopCount(NodeId src, NodeId dst) const {
-  return RouteBetween(src, dst).size();
-}
-
-SimDuration RoutingTable::PathPropagation(NodeId src, NodeId dst) const {
-  if (src == dst || !src.valid() || !dst.valid()) {
-    return 0;
-  }
-  return path_propagation_[Index(src, dst)];
+SimDuration RoutingTable::PathPropagation(const Topology& topo, NodeId src, NodeId dst) const {
+  SimDuration total = 0;
+  ForEachHopReversed(src, dst, [&](const Hop& hop) { total += topo.link(hop.link).propagation; });
+  return total;
 }
 
 bool RoutingTable::UsesLink(LinkId link) const {
-  for (const Route& route : routes_) {
-    for (const Hop& hop : route) {
-      if (hop.link == link) {
-        return true;
-      }
+  for (size_t i = 0; i < via_.size(); ++i) {
+    if (hops_[i] != 0 && via_[i].link == link) {
+      return true;
     }
   }
   return false;
 }
 
 bool RoutingTable::RouteUsesRelay(NodeId src, NodeId dst, NodeId relay) const {
-  const Route& r = RouteBetween(src, dst);
-  for (size_t i = 0; i + 1 < r.size(); ++i) {
-    if (r[i].receiver == relay) {
-      return true;
+  bool used = false;
+  ForEachHopReversed(src, dst, [&](const Hop& hop) {
+    // Every sender but the source is an intermediate node.
+    if (hop.sender == relay && hop.sender != src) {
+      used = true;
     }
-  }
-  return false;
+  });
+  return used;
 }
 
 }  // namespace btr

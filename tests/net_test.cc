@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <queue>
+#include <string>
+
+#include "src/common/rng.h"
 #include "src/net/network.h"
 #include "src/net/routing.h"
 #include "src/net/topology.h"
 #include "src/sim/simulator.h"
+#include "src/workload/generators.h"
 
 namespace btr {
 namespace {
@@ -96,7 +103,127 @@ TEST(Routing, ExcludedEndpointStillReachable) {
 TEST(Routing, PathPropagationSums) {
   Topology t = Topology::Ring(6, 1'000'000, Microseconds(7));
   RoutingTable routes(t);
-  EXPECT_EQ(routes.PathPropagation(NodeId(0), NodeId(3)), 3 * Microseconds(7));
+  EXPECT_EQ(routes.PathPropagation(t, NodeId(0), NodeId(3)), 3 * Microseconds(7));
+}
+
+// Reference: all-pairs Dijkstra that materializes every route, with the
+// same edge weights, relaxation order and exclusion rule the table uses.
+// Returns n*n routes, row-major.
+std::vector<Route> MaterializedRoutes(const Topology& topo, const std::vector<NodeId>& excluded) {
+  const size_t n = topo.node_count();
+  std::vector<Route> routes(n * n);
+  std::vector<bool> is_excluded(n, false);
+  for (NodeId x : excluded) {
+    is_excluded[x.value()] = true;
+  }
+  for (size_t s = 0; s < n; ++s) {
+    constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+    std::vector<int64_t> dist(n, kInf);
+    std::vector<Hop> via(n);
+    using QueueEntry = std::pair<int64_t, uint32_t>;
+    std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+    dist[s] = 0;
+    pq.push({0, static_cast<uint32_t>(s)});
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u] || (u != s && is_excluded[u])) {
+        continue;
+      }
+      const NodeId nu(u);
+      for (LinkId l : topo.LinksAt(nu)) {
+        const LinkSpec& spec = topo.link(l);
+        const int64_t w = spec.propagation + 1000;
+        for (NodeId v : spec.endpoints) {
+          if (v != nu && d + w < dist[v.value()]) {
+            dist[v.value()] = d + w;
+            via[v.value()] = Hop{nu, l, v};
+            pq.push({dist[v.value()], v.value()});
+          }
+        }
+      }
+    }
+    for (size_t t = 0; t < n; ++t) {
+      if (t == s || dist[t] >= kInf) {
+        continue;
+      }
+      Route& route = routes[s * n + t];
+      for (uint32_t cur = static_cast<uint32_t>(t); cur != s; cur = via[cur].sender.value()) {
+        route.push_back(via[cur]);
+      }
+      std::reverse(route.begin(), route.end());
+    }
+  }
+  return routes;
+}
+
+// Every query on the tree-backed table agrees with the materialized
+// reference: routes hop for hop, hop counts, reachability, relays, links
+// and propagation sums.
+void ExpectTableMatchesReference(const Topology& topo, const std::vector<NodeId>& excluded,
+                                 const std::string& label) {
+  SCOPED_TRACE(label);
+  const size_t n = topo.node_count();
+  const RoutingTable table(topo, excluded);
+  const std::vector<Route> ref = MaterializedRoutes(topo, excluded);
+  std::vector<bool> link_used(topo.link_count(), false);
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t d = 0; d < n; ++d) {
+      const NodeId src(s);
+      const NodeId dst(d);
+      const Route& expected = ref[s * n + d];
+      const Route got = table.RouteBetween(src, dst);
+      ASSERT_EQ(got.size(), expected.size()) << s << "->" << d;
+      SimDuration propagation = 0;
+      for (size_t h = 0; h < got.size(); ++h) {
+        ASSERT_EQ(got[h].sender, expected[h].sender) << s << "->" << d << " hop " << h;
+        ASSERT_EQ(got[h].link, expected[h].link) << s << "->" << d << " hop " << h;
+        ASSERT_EQ(got[h].receiver, expected[h].receiver) << s << "->" << d << " hop " << h;
+        link_used[expected[h].link.value()] = true;
+        propagation += topo.link(expected[h].link).propagation;
+      }
+      EXPECT_EQ(table.HopCount(src, dst), expected.size());
+      EXPECT_EQ(table.Reachable(src, dst), s == d || !expected.empty());
+      EXPECT_EQ(table.PathPropagation(topo, src, dst), propagation);
+      for (uint32_t r = 0; r < n; ++r) {
+        bool relays = false;
+        for (size_t h = 0; h + 1 < expected.size(); ++h) {
+          relays = relays || expected[h].receiver == NodeId(r);
+        }
+        EXPECT_EQ(table.RouteUsesRelay(src, dst, NodeId(r)), relays)
+            << s << "->" << d << " via " << r;
+      }
+    }
+  }
+  for (uint32_t l = 0; l < topo.link_count(); ++l) {
+    EXPECT_EQ(table.UsesLink(LinkId(l)), link_used[l]) << "link " << l;
+  }
+}
+
+TEST(Routing, TreeRoutesMatchMaterializedDijkstra) {
+  const char* kinds[] = {"avionics", "scada", "convoy", "convoy-mobile", "lossy-mesh", "random"};
+  for (const char* kind : kinds) {
+    for (size_t nodes : {6u, 16u}) {
+      StatusOr<Scenario> scenario = MakeNamedScenario(kind, nodes, 7);
+      ASSERT_TRUE(scenario.ok()) << kind;
+      const Topology& topo = scenario->topology;
+      const size_t n = topo.node_count();
+      const std::string base = std::string(kind) + " nodes=" + std::to_string(nodes);
+      ExpectTableMatchesReference(topo, {}, base + " excluded={}");
+      for (uint32_t x = 0; x < n; ++x) {
+        ExpectTableMatchesReference(topo, {NodeId(x)},
+                                    base + " excluded={" + std::to_string(x) + "}");
+      }
+      Rng rng(nodes * 31 + n);
+      for (int pair = 0; pair < 3; ++pair) {
+        const uint32_t a = static_cast<uint32_t>(rng.NextBelow(n));
+        const uint32_t b = static_cast<uint32_t>((a + 1 + rng.NextBelow(n - 1)) % n);
+        ExpectTableMatchesReference(
+            topo, {NodeId(a), NodeId(b)},
+            base + " excluded={" + std::to_string(a) + "," + std::to_string(b) + "}");
+      }
+    }
+  }
 }
 
 class NetworkTest : public ::testing::Test {
@@ -288,6 +415,78 @@ TEST(NetworkRouting, UnreachableDestinationCounts) {
                                 std::make_shared<TestPayload>());
   EXPECT_FALSE(id.valid());
   EXPECT_EQ(net.stats().packets_dropped_unreachable, 1u);
+}
+
+TEST(NetworkRouting, InFlightPacketKeepsSendTimeRoute) {
+  // On a 5-ring, 0->2 is two hops over one relay; without that relay it is
+  // three hops the other way round.
+  Topology topo = Topology::Ring(5, 8'000'000, Microseconds(2));
+  const RoutingTable before(topo);
+  const Route send_time_route = before.RouteBetween(NodeId(0), NodeId(2));
+  ASSERT_EQ(send_time_route.size(), 2u);
+  const NodeId relay = send_time_route[0].receiver;
+  auto after = std::make_shared<RoutingTable>(topo, std::vector<NodeId>{relay});
+  const Route new_route = after->RouteBetween(NodeId(0), NodeId(2));
+  ASSERT_EQ(new_route.size(), 3u);
+
+  struct Arrival {
+    int value;
+    SimTime at;
+    Route route;
+  };
+  auto send = [](Network* net, int value) {
+    auto payload = std::make_shared<TestPayload>();
+    payload->value = value;
+    return net->Send(NodeId(0), NodeId(2), 100, TrafficClass::kForeground, payload).valid();
+  };
+  auto record = [](std::vector<Arrival>* out) {
+    return [out](const Packet& p) {
+      out->push_back({static_cast<const TestPayload&>(*p.payload).value, p.delivered_at, p.route});
+    };
+  };
+
+  // Reference: the same send with no routing swap.
+  std::vector<Arrival> undisturbed;
+  {
+    Simulator sim(1);
+    Network net(&sim, &topo, NetworkConfig{});
+    net.SetReceiver(NodeId(2), record(&undisturbed));
+    ASSERT_TRUE(send(&net, 1));
+    sim.RunToCompletion();
+    ASSERT_EQ(undisturbed.size(), 1u);
+  }
+
+  Simulator sim(1);
+  Network net(&sim, &topo, NetworkConfig{});
+  std::vector<Arrival> arrivals;
+  net.SetReceiver(NodeId(2), record(&arrivals));
+  ASSERT_TRUE(send(&net, 1));
+  // One event: the packet reaches the relay and starts its second hop.
+  ASSERT_TRUE(sim.Step());
+  ASSERT_TRUE(arrivals.empty());
+  ASSERT_GT(sim.pending_events(), 0u);
+  // Swap in routes that avoid the relay while the packet is mid-route.
+  net.SetRouting(after);
+  ASSERT_TRUE(send(&net, 2));
+  sim.RunToCompletion();
+
+  ASSERT_EQ(arrivals.size(), 2u);
+  auto same_route = [](const Route& a, const Route& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const Hop& x, const Hop& y) {
+      return x.sender == y.sender && x.link == y.link && x.receiver == y.receiver;
+    });
+  };
+  for (const Arrival& a : arrivals) {
+    if (a.value == 1) {
+      // Finished over the relay, exactly as if nothing had changed.
+      EXPECT_TRUE(same_route(a.route, send_time_route));
+      EXPECT_EQ(a.at, undisturbed[0].at);
+    } else {
+      EXPECT_TRUE(same_route(a.route, new_route));  // the later send detours
+    }
+  }
+  EXPECT_EQ(net.stats().packets_delivered, 2u);
+  EXPECT_EQ(net.stats().total_link_bytes, (2u + 3u) * 100u);
 }
 
 }  // namespace
