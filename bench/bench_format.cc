@@ -1,4 +1,4 @@
-// Strategy format v4: wire and install-path economics of the binary image.
+// Strategy format v4: wire size and install cost of the binary image.
 //
 // The same E7 system as the install-traffic bench (14 nodes, f=2, the
 // flaplink edit family), measured along the format axis instead of the
@@ -8,8 +8,9 @@
 //            patches (link_flap: pure re-reference; bus_remeasure: every
 //            mode dirtied) as BTRPATCH text vs v4 patch images.
 //   time   — node install cost for a full slice: parse-and-verify the
-//            text slice vs verify-fingerprint-and-map the v4 image
-//            (InstallEngine::InstallFull both ways, wall clock).
+//            text slice vs decode-then-verify the v4 image (the engine
+//            keeps text only, so an image is decoded once on install;
+//            InstallEngine::InstallFull both ways, wall clock).
 //   safety — the formats must be semantically invisible: a run on the
 //            planned strategy, on the strategy loaded back from the v2
 //            text, and on the strategy loaded from the v4 image must
@@ -180,7 +181,7 @@ int Run(int reps) {
     return 1;
   }
 
-  // Node-0 install: parse the text slice vs map the image.
+  // Node-0 install: parse the text slice vs decode the image, then parse.
   auto slice_text = ExtractSlice(v2_blob, 0);
   if (!slice_text.ok()) {
     return 1;
@@ -190,8 +191,8 @@ int Run(int reps) {
     return 1;
   }
   const double parse_us = TimeInstall(*slice_text, blob_fp, reps);
-  const double map_us = TimeInstall(*slice_image, blob_fp, reps);
-  if (parse_us < 0 || map_us < 0) {
+  const double image_us = TimeInstall(*slice_image, blob_fp, reps);
+  if (parse_us < 0 || image_us < 0) {
     std::fprintf(stderr, "format bench: install timing failed\n");
     return 1;
   }
@@ -218,13 +219,13 @@ int Run(int reps) {
                            1) +
                     " %"});
   table.AddRow({"slice install (node 0)", CellDouble(parse_us, 1) + " us",
-                CellDouble(map_us, 1) + " us",
-                CellDouble(100.0 * map_us / parse_us, 1) + " %"});
+                CellDouble(image_us, 1) + " us",
+                CellDouble(100.0 * image_us / parse_us, 1) + " %"});
   std::printf("%s\n", table.Render().c_str());
   std::printf("(install = InstallEngine::InstallFull wall clock over %d reps: full\n"
-              " parse + canonical re-check for text vs fingerprint-verify + map for\n"
-              " the image; reports_match pins planned / v2-loaded / v4-mapped runs\n"
-              " to byte-identical reports)\n\n", reps);
+              " parse + canonical re-check for text; for the image, a sealed decode to\n"
+              " the same text first, then the same checks; reports_match pins planned /\n"
+              " v2-loaded / v4-loaded runs to byte-identical reports)\n\n", reps);
 
   std::printf(
       "BENCH_JSON {\"bench\":\"strategy_format\",\"preset\":\"e7\","
@@ -232,11 +233,11 @@ int Run(int reps) {
       "\"link_flap_patch_text_bytes\":%zu,\"link_flap_patch_image_bytes\":%zu,"
       "\"bus_remeasure_patch_text_bytes\":%zu,\"bus_remeasure_patch_image_bytes\":%zu,"
       "\"bus_remeasure_patch_vs_v2_blob\":%.4f,"
-      "\"parse_install_us\":%.1f,\"map_install_us\":%.1f,"
+      "\"parse_install_us\":%.1f,\"image_install_us\":%.1f,"
       "\"reports_match\":%s,\"report_fingerprint\":\"%016llx\"}\n",
       v2_blob.size(), v4_blob->size(), v4_bytes / v2_bytes, link_flap->text_bytes,
       link_flap->image_bytes, bus_remeasure->text_bytes, bus_remeasure->image_bytes,
-      static_cast<double>(bus_remeasure->image_bytes) / v2_bytes, parse_us, map_us,
+      static_cast<double>(bus_remeasure->image_bytes) / v2_bytes, parse_us, image_us,
       reports_match ? "true" : "false", static_cast<unsigned long long>(report_fp));
 
   if (!reports_match) {

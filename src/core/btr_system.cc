@@ -116,7 +116,6 @@ Status BtrSystem::Plan() {
     return strategy.status();
   }
   strategy_ = std::make_shared<const Strategy>(std::move(strategy).value());
-  strategy_index_ = StrategyIndex(*strategy_);
   planned_ = true;
   return Status::Ok();
 }
@@ -146,7 +145,6 @@ Status BtrSystem::AdoptStrategy(std::shared_ptr<const Strategy> strategy) {
     return Status::InvalidArgument("AdoptStrategy: scenario fingerprint mismatch");
   }
   strategy_ = std::move(strategy);
-  strategy_index_ = StrategyIndex(*strategy_);
   planned_ = true;
   return Status::Ok();
 }
@@ -216,7 +214,6 @@ void BtrSystem::CommitStaged() {
   scenario_ = std::move(staged_->scenario);
   planner_ = std::move(staged_->planner);
   strategy_ = std::make_shared<const Strategy>(std::move(staged_->strategy));
-  strategy_index_ = StrategyIndex(*strategy_);
   staged_.reset();
 }
 
@@ -264,7 +261,6 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   ctx.workload = &scenario_->workload;
   ctx.graph = &planner_->graph();
   ctx.strategy = strategy_.get();
-  ctx.strategy_index = &strategy_index_;
   ctx.planner = planner_.get();
   ctx.keys = &keys;
   ctx.adversary = &adversary_;

@@ -181,8 +181,6 @@ class BtrSystem {
   // service inserts this into its cache after Plan(). Empty strategy (not
   // null) before planning.
   std::shared_ptr<const Strategy> shared_strategy() const { return strategy_; }
-  // O(1) fault-set -> plan index over the strategy (valid after Plan()).
-  const StrategyIndex& strategy_index() const { return strategy_index_; }
   const Planner& planner() const { return *planner_; }
   const AdversarySpec& adversary() const { return adversary_; }
   const BtrConfig& config() const { return config_; }
@@ -217,7 +215,6 @@ class BtrSystem {
   // Edits never do — ApplyDelta rebuilds into a *new* strategy (sharing
   // unchanged immutable bodies) and swaps the pointer at commit.
   std::shared_ptr<const Strategy> strategy_ = std::make_shared<Strategy>();
-  StrategyIndex strategy_index_;
   AdversarySpec adversary_;
   bool planned_ = false;
   std::unique_ptr<StagedDelta> staged_;

@@ -22,22 +22,17 @@ constexpr uint64_t kBufferHorizon = 4;
 // for a chunk go through the KeyStore in one pass).
 constexpr size_t kVerifyChunk = 8;
 
-// Plan lookup on the recovery path: the flat O(1) index when the caller
-// provided one, the strategy's own (hashed) lookup otherwise.
-const Plan* LookupPlan(const RuntimeContext& ctx, const FaultSet& faults) {
-  if (ctx.strategy_index != nullptr) {
-    return ctx.strategy_index->Find(faults);
-  }
-  return ctx.strategy->Lookup(faults);
+// Install artifacts arrive in either wire format (auto-detected by magic).
+// A v4 image is a wire / disk encoding only: it is validated and decoded to
+// its canonical text on arrival, so every install path below sees text.
+StatusOr<std::string> StrategyTextOf(const std::string& artifact) {
+  return fmt::IsV4Image(artifact) ? fmt::DecodeStrategyImage(artifact)
+                                  : StatusOr<std::string>(artifact);
 }
 
-// Beyond-f fallback: the nearest covered mode (largest planned subset of
-// `faults`, lexicographic-first tie-break — see plan.h).
-const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& faults) {
-  if (ctx.strategy_index != nullptr) {
-    return ctx.strategy_index->FindNearestCovered(faults);
-  }
-  return ctx.strategy->LookupNearestCovered(faults);
+StatusOr<StrategyPatch> PatchOf(const std::string& artifact) {
+  return fmt::IsV4Image(artifact) ? fmt::DecodePatchImage(artifact)
+                                  : ParseStrategyPatch(artifact);
 }
 
 }  // namespace
@@ -49,48 +44,19 @@ const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& 
 uint64_t InstallEngine::StateFingerprint() const {
   Hasher hasher;
   hasher.AddString(slice_);
-  hasher.AddString(image_);
   hasher.Add(strategy_fp_);
   hasher.Add(version_);
   hasher.Add(node_.value());
   return hasher.Digest();
 }
 
-Status InstallEngine::InstallFull(const std::string& slice_text, uint64_t expected_sfp) {
-  if (fmt::IsV4Image(slice_text)) {
-    // Image path: verify → map → swap, no text is parsed or rendered. The
-    // deep validation walks every section and body payload off to the
-    // side, so a forged-count / out-of-range-reference image is rejected
-    // here with the engine bit-identical (bit flips never get this far —
-    // the image seal catches them at Map).
-    StatusOr<fmt::BinaryStrategyView> view = fmt::BinaryStrategyView::Map(slice_text);
-    if (!view.ok()) {
-      ++stats_.patches_rejected;
-      return view.status();
-    }
-    if (!view->is_slice() || view->node() != node_.value()) {
-      ++stats_.patches_rejected;
-      return Status::InvalidArgument("image is not this node's strategy slice");
-    }
-    if (view->slice_sfp() != expected_sfp) {
-      ++stats_.patches_rejected;
-      return Status::FailedPrecondition(
-          "slice image does not chain to the expected strategy fingerprint");
-    }
-    const Status deep = fmt::ValidateStrategyImage(slice_text);
-    if (!deep.ok()) {
-      ++stats_.patches_rejected;
-      return deep;
-    }
-    image_ = slice_text;
-    slice_.clear();
-    strategy_fp_ = expected_sfp;
-    ++version_;
-    ++stats_.full_installs;
-    ++stats_.image_installs;
-    return Status::Ok();
+Status InstallEngine::InstallFull(const std::string& slice_artifact, uint64_t expected_sfp) {
+  StatusOr<std::string> text = StrategyTextOf(slice_artifact);
+  if (!text.ok()) {
+    ++stats_.patches_rejected;
+    return text.status();
   }
-  StatusOr<uint64_t> sfp = ValidateSliceText(slice_text, node_.value());
+  StatusOr<uint64_t> sfp = ValidateSliceText(*text, node_.value());
   if (!sfp.ok()) {
     ++stats_.patches_rejected;
     return sfp.status();
@@ -100,54 +66,34 @@ Status InstallEngine::InstallFull(const std::string& slice_text, uint64_t expect
     return Status::FailedPrecondition(
         "slice does not chain to the expected strategy fingerprint; refusing to install");
   }
-  slice_ = slice_text;
-  image_.clear();
+  slice_ = std::move(*text);
   strategy_fp_ = *sfp;
   ++version_;
   ++stats_.full_installs;
   return Status::Ok();
 }
 
-Status InstallEngine::ApplyPatch(const std::string& patch_text) {
+Status InstallEngine::ApplyPatch(const std::string& patch_artifact) {
   if (!installed()) {
     ++stats_.patches_rejected;
     return Status::FailedPrecondition("no base slice installed; patch has nothing to apply to");
   }
-  const bool patch_is_image = fmt::IsV4Image(patch_text);
-  StatusOr<StrategyPatch> patch =
-      patch_is_image ? fmt::DecodePatchImage(patch_text) : ParseStrategyPatch(patch_text);
+  StatusOr<StrategyPatch> patch = PatchOf(patch_artifact);
   if (!patch.ok()) {
     ++stats_.patches_rejected;
     return patch.status();
   }
-  // An image-mode base materializes its canonical text off to the side;
-  // the installed image stays untouched until the patch fully verifies.
-  const std::string* base = &slice_;
-  std::string materialized;
-  if (!image_.empty()) {
-    StatusOr<std::string> text = fmt::DecodeStrategyImage(image_);
-    if (!text.ok()) {
-      ++stats_.patches_rejected;
-      return text.status();
-    }
-    materialized = std::move(*text);
-    base = &materialized;
-  }
   // Verify-then-swap: the new slice is fully assembled and fingerprint-
   // checked before the installed state changes.
-  StatusOr<std::string> applied = ApplyPatchToSlice(*base, *patch);
+  StatusOr<std::string> applied = ApplyPatchToSlice(slice_, *patch);
   if (!applied.ok()) {
     ++stats_.patches_rejected;
     return applied.status();
   }
   slice_ = std::move(*applied);
-  image_.clear();
   strategy_fp_ = patch->target_fp;
   ++version_;
   ++stats_.patches_applied;
-  if (patch_is_image) {
-    ++stats_.image_installs;
-  }
   return Status::Ok();
 }
 
@@ -173,7 +119,7 @@ BtrRuntime::~BtrRuntime() = default;
 
 void BtrRuntime::Start(uint64_t periods) {
   periods_ = periods;
-  const Plan* root = LookupPlan(ctx_, FaultSet());
+  const Plan* root = ctx_.strategy->Lookup(FaultSet());
   assert(root != nullptr && "strategy must contain the fault-free plan");
   ctx_.network->SetRouting(root->routing);
 
@@ -388,7 +334,7 @@ NodeRuntime::NodeRuntime(BtrRuntime* owner, const RuntimeContext& ctx, NodeId id
       arena_(std::move(arena)),
       install_(id),
       blame_(ctx.config.blame_threshold, ctx.config.blame_window_periods) {
-  plan_ = LookupPlan(ctx_, FaultSet());
+  plan_ = ctx_.strategy->Lookup(FaultSet());
   // Each node reads time through its own (periodically resynchronized)
   // clock: a deterministic per-node residual offset bounded by
   // max_clock_offset. The detector's epsilon must cover it.
@@ -1402,13 +1348,6 @@ void NodeRuntime::MaybeServeNext() {
       g.serve_queue.erase(g.serve_queue.begin() + static_cast<ptrdiff_t>(i));
       progress = true;
       const std::string* artifact = DissemArtifact(serve.content, serve.to);
-      if ((artifact == nullptr || artifact->empty()) &&
-          serve.content == DissemContent::kPatchFull) {
-        // A hand-built update without the unsliced patch text: downgrade to
-        // the per-node slice (the requester installs but cannot relay).
-        serve.content = DissemContent::kPatchSlice;
-        artifact = DissemArtifact(serve.content, serve.to);
-      }
       if (artifact == nullptr || artifact->empty()) {
         g.serving_to[serve.to.value()] = 0;
         break;  // rollout torn down; drop the serve
@@ -1553,8 +1492,7 @@ void NodeRuntime::ApplyDissemArtifact(DissemContent content, const std::string& 
       st = install_.ApplyPatch(text);
       break;
     case DissemContent::kPatchFull: {
-      StatusOr<StrategyPatch> patch =
-          fmt::IsV4Image(text) ? fmt::DecodePatchImage(text) : ParseStrategyPatch(text);
+      StatusOr<StrategyPatch> patch = PatchOf(text);
       if (patch.ok()) {
         StatusOr<std::string> sliced = SaveStrategyPatchSlice(*patch, id_.value());
         st = sliced.ok() ? install_.ApplyPatch(*sliced) : sliced.status();
@@ -1564,18 +1502,10 @@ void NodeRuntime::ApplyDissemArtifact(DissemContent content, const std::string& 
       break;
     }
     case DissemContent::kBlobFull: {
-      // A v4 blob image decodes to canonical text before carving; the
-      // carved slice installs through the text path either way.
-      const std::string* blob = &text;
-      std::string decoded_text;
-      if (fmt::IsV4Image(text)) {
-        StatusOr<std::string> decoded = fmt::DecodeStrategyImage(text);
-        if (!decoded.ok()) {
-          st = decoded.status();
-          break;
-        }
-        decoded_text = std::move(*decoded);
-        blob = &decoded_text;
+      StatusOr<std::string> blob = StrategyTextOf(text);
+      if (!blob.ok()) {
+        st = blob.status();
+        break;
       }
       StatusOr<std::string> carved = ExtractSlice(*blob, id_.value());
       st = carved.ok() ? install_.InstallFull(*carved, g.target_fp) : carved.status();
@@ -1768,7 +1698,7 @@ void NodeRuntime::Convict(NodeId node, EvidenceKind kind) {
   owner_->RecordConviction(ConvictionEvent{node, id_, ctx_.sim->Now(), kind});
   BTR_LOG(kInfo, "runtime") << ToString(id_) << " convicts " << ToString(node) << " ("
                             << EvidenceKindName(kind) << ")";
-  const Plan* next = LookupPlan(ctx_, fault_set_);
+  const Plan* next = ctx_.strategy->Lookup(fault_set_);
   if (next == nullptr) {
     // Beyond f: this fault set was never planned for. Instead of freezing
     // on the stale plan, degrade to the nearest covered mode — the
@@ -1783,7 +1713,7 @@ void NodeRuntime::Convict(NodeId node, EvidenceKind kind) {
           << ToString(id_) << ": no plan for " << fault_set_.ToString()
           << " (beyond f); falling back to nearest covered mode";
     }
-    next = LookupNearestCoveredPlan(ctx_, fault_set_);
+    next = ctx_.strategy->LookupNearestCovered(fault_set_);
     if (next == nullptr || next == plan_ || next == pending_plan_) {
       return;  // already on (or adopting) the best covered mode
     }

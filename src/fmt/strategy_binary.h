@@ -1,10 +1,9 @@
-// v4 binary strategy format: delta-encoded, dictionary-packed, mmap-able
+// v4 binary strategy format: delta-encoded, dictionary-packed, sealed
 // images of the canonical strategy texts.
 //
 // The v2/v3 text formats dedup whole plan bodies but still write every
 // table and budget record verbatim per body, so slices and patches inherit
-// verbatim rows and every install pays full parse time on the node's
-// critical path. The v4 image closes both gaps:
+// verbatim rows. The v4 image packs them:
 //
 //   delta encoding — sibling bodies in the wave DAG differ from their
 //     level-(k-1) prefix parent in a handful of rows (that is what makes
@@ -16,11 +15,11 @@
 //   dictionaries — utility strings and schedule-table row groups repeat
 //     across bodies; each is stored once (STRDICT / TABDICT) and bodies
 //     carry varint references.
-//   zero-copy layout — the image is sectioned with relative offsets and
+//   sealed layout — the image is sectioned with relative offsets and
 //     fixed alignment (see binary_image.h), sealed by a trailing
-//     fingerprint over every byte, so a node can verify-fingerprint, map,
-//     and swap a slice without parsing; BinaryStrategyView resolves body
-//     chunks lazily from the mapped bytes on first use.
+//     fingerprint over every byte, so the same bytes are valid on disk and
+//     on the wire. An image is an encoding only: a node decodes it once, on
+//     install, to the canonical text it keeps.
 //
 // The oracle contract mirrors the text install plane: DecodeStrategyImage
 // (EncodeStrategyImage(text)) returns `text` byte-for-byte (the encoder
@@ -70,51 +69,28 @@ StatusOr<StrategyPatch> DecodePatchImage(const std::string& image);
 
 // Structural + grammatical validation without materializing any text: walks
 // the header, section table, dictionaries, every body payload (including
-// delta chains), modes, and the fingerprint seal. This is the install
-// plane's verify-before-map step.
+// delta chains), modes, and the fingerprint seal.
 Status ValidateStrategyImage(const std::string& image);
 
-// Binary twins of the text-plane primitives: carve a node's slice / diff
-// two blobs, packed as v4 images instead of text.
-StatusOr<std::string> ExtractSliceImage(const std::string& blob_text, uint32_t node);
-StatusOr<std::string> MakeStrategyPatchImage(const std::string& base_blob,
-                                             const std::string& target_blob);
-
-// Zero-parse accessor over a validated blob/slice image. Map() performs
-// the structural walk once; header fields are then O(1) reads and body
-// chunks are decoded lazily (resolving delta chains and dictionaries from
-// the mapped bytes) and memoized. Copyable; copies share the mapped image.
+// Header accessor over a sealed blob/slice image. Map() walks the header,
+// section table, dictionaries, mode table, and seal without decoding any
+// body payload (run ValidateStrategyImage or DecodeStrategyImage for
+// that); header fields are then O(1) reads. Copyable; copies share the
+// mapped image.
 class BinaryStrategyView {
  public:
-  // Walks the header, section table, dictionaries, mode table, and seal,
-  // then takes ownership of the image bytes. Rejects patch images (use
-  // DecodePatchImage). Body payloads are validated lazily by BodyChunk;
-  // run ValidateStrategyImage first when full up-front validation matters
-  // (the install plane does).
+  // Takes ownership of the image bytes. Rejects patch images (use
+  // DecodePatchImage).
   static StatusOr<BinaryStrategyView> Map(std::string image);
 
   bool is_slice() const;
   uint64_t node() const;       // slices only
   uint64_t slice_sfp() const;  // slices only: fingerprint of the source blob
-  uint64_t aug_count() const;
-  uint64_t node_count() const;
-  uint64_t edge_count() const;
   uint64_t body_count() const;
   uint64_t mode_count() const;
-  bool has_prov() const;
-  uint64_t prov_max_faults() const;
-  uint64_t prov_planner_fp() const;
   // Fingerprint of the canonical text this image encodes (the trailer's
-  // text_fp) — equals FingerprintStrategyText(DecodeText()).
+  // text_fp) — equals FingerprintStrategyText(DecodeStrategyImage(image)).
   uint64_t text_fingerprint() const;
-  const std::string& image() const;
-
-  // Canonical record chunk of body `id` (up to and including "END\n"),
-  // decoded on first use and memoized along the resolved parent chain.
-  StatusOr<std::string> BodyChunk(uint64_t id) const;
-
-  // Full canonical text materialization (verified against text_fp).
-  StatusOr<std::string> DecodeText() const;
 
  private:
   struct State;

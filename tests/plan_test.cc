@@ -165,20 +165,21 @@ TEST(Strategy, DedupSharesIdenticalBodies) {
   EXPECT_NE(c->body.get(), a->body.get());
 }
 
-TEST(StrategyIndex, FindsEveryModeAndRejectsUnknown) {
+TEST(Strategy, LookupFindsEveryModeAndRejectsUnknown) {
   DeltaFixture fx;
   Strategy strategy;
   strategy.Insert(fx.MakePlan(FaultSet(), fx.EmptyBody()));
   strategy.Insert(fx.MakePlan(FaultSet({NodeId(0)}), fx.EmptyBody()));
   strategy.Insert(fx.MakePlan(FaultSet({NodeId(0), NodeId(2)}), fx.EmptyBody()));
 
-  StrategyIndex index(strategy);
-  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(strategy.mode_count(), 3u);
   for (const FaultSet& faults : strategy.PlannedSets()) {
-    EXPECT_EQ(index.Find(faults), strategy.Lookup(faults)) << faults.ToString();
+    const Plan* plan = strategy.Lookup(faults);
+    ASSERT_NE(plan, nullptr) << faults.ToString();
+    EXPECT_EQ(plan->faults, faults);
   }
-  EXPECT_EQ(index.Find(FaultSet({NodeId(1)})), nullptr);
-  EXPECT_EQ(StrategyIndex().Find(FaultSet()), nullptr);
+  EXPECT_EQ(strategy.Lookup(FaultSet({NodeId(1)})), nullptr);
+  EXPECT_EQ(Strategy().Lookup(FaultSet()), nullptr);
 }
 
 TEST(Strategy, MemoryFootprintGrowsWithPlans) {

@@ -5,8 +5,8 @@
 //
 //   1. Round trip — DecodeStrategyImage(EncodeStrategyImage(S)) == S
 //      byte-for-byte for fuzzed strategies and edit streams (blobs, every
-//      node slice, and patch images), and the lazy BinaryStrategyView
-//      resolves the same bytes chunk by chunk.
+//      node slice, and patch images), and BinaryStrategyView reads the
+//      header fields without decoding a body.
 //   2. Adversarial — truncation at every section boundary, a bit-flip
 //      sweep, forged section counts/offsets (re-sealed so only the
 //      structural validators can catch them), out-of-range references,
@@ -15,9 +15,9 @@
 //      installed state bit-identical (StateFingerprint).
 //   3. End-to-end — BuildStrategyUpdate's bulk slice renderers are
 //      byte-equal to the per-node primitives, wire=v4 runs report the
-//      same installed fingerprints as v2 text, and a run on a
-//      v4-mapped strategy reports byte-identically to the planned and
-//      v2-loaded runs.
+//      same installed state as v2 text, and a run on a v4-loaded
+//      strategy reports byte-identically to the planned and v2-loaded
+//      runs.
 
 #include <gtest/gtest.h>
 
@@ -82,8 +82,8 @@ System* MakeBaseSystem(std::deque<System>* generations, const PlannerConfig& con
   return &sys;
 }
 
-// Round-trips one canonical text through the image codec and the lazy
-// view; returns how many distinct serializations were checked.
+// Round-trips one canonical text through the image codec and maps its
+// header; returns how many distinct serializations were checked.
 size_t CheckRoundTrip(const std::string& text, const char* label) {
   auto image = fmt::EncodeStrategyImage(text);
   if (!image.ok()) {
@@ -105,12 +105,6 @@ size_t CheckRoundTrip(const std::string& text, const char* label) {
     return 0;
   }
   EXPECT_EQ(view->text_fingerprint(), FingerprintStrategyText(text)) << label;
-  auto lazy = view->DecodeText();
-  if (!lazy.ok()) {
-    ADD_FAILURE() << label << ": view decode failed: " << lazy.status().ToString();
-    return 0;
-  }
-  EXPECT_EQ(*lazy, text) << label << ": lazy view decode diverged";
   return 1;
 }
 
@@ -126,18 +120,24 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
   const std::string blob = Blob(*strategy, *sys->planner);
 
   CheckRoundTrip(blob, "blob");
+  // The blob header maps without decoding a body.
+  auto blob_image = fmt::EncodeStrategyImage(blob);
+  ASSERT_TRUE(blob_image.ok());
+  auto blob_view = fmt::BinaryStrategyView::Map(*blob_image);
+  ASSERT_TRUE(blob_view.ok());
+  EXPECT_FALSE(blob_view->is_slice());
+  EXPECT_EQ(blob_view->body_count(), strategy->unique_plan_count());
+  EXPECT_EQ(blob_view->mode_count(), strategy->mode_count());
+
   for (uint32_t n = 0; n < sys->topo.node_count(); ++n) {
     auto slice = ExtractSlice(blob, n);
     ASSERT_TRUE(slice.ok());
     const std::string label = "slice " + std::to_string(n);
     CheckRoundTrip(*slice, label.c_str());
 
-    // The binary twin carves the same slice, packed.
-    auto slice_image = fmt::ExtractSliceImage(blob, n);
+    // A slice image carries its node and source-blob chain in the header.
+    auto slice_image = fmt::EncodeStrategyImage(*slice);
     ASSERT_TRUE(slice_image.ok()) << slice_image.status().ToString();
-    auto back = fmt::DecodeStrategyImage(*slice_image);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, *slice) << label;
     auto view = fmt::BinaryStrategyView::Map(*slice_image);
     ASSERT_TRUE(view.ok());
     EXPECT_TRUE(view->is_slice());
@@ -159,7 +159,7 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
   auto patch = MakeStrategyPatch(blob, target);
   ASSERT_TRUE(patch.ok());
   const std::string patch_text = SaveStrategyPatch(*patch);
-  auto patch_image = fmt::MakeStrategyPatchImage(blob, target);
+  auto patch_image = fmt::EncodePatchImage(*patch);
   ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
   auto decoded_patch = fmt::DecodePatchImage(*patch_image);
   ASSERT_TRUE(decoded_patch.ok()) << decoded_patch.status().ToString();
@@ -168,38 +168,6 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
   // A patch image maps only through DecodePatchImage.
   EXPECT_FALSE(fmt::BinaryStrategyView::Map(*patch_image).ok());
   EXPECT_FALSE(fmt::DecodeStrategyImage(*patch_image).ok());
-}
-
-TEST(StrategyBinary, BodyChunksResolveLazilyAndMatchTheText) {
-  const PlannerConfig config = SmallConfig(2);
-  std::deque<System> generations;
-  System* sys = MakeBaseSystem(&generations, config);
-  StrategyBuilder builder(sys->planner.get(), config.planner_threads);
-  auto strategy = builder.Build();
-  ASSERT_TRUE(strategy.ok());
-  const std::string blob = Blob(*strategy, *sys->planner);
-
-  auto image = fmt::EncodeStrategyImage(blob);
-  ASSERT_TRUE(image.ok());
-  auto view = fmt::BinaryStrategyView::Map(*image);
-  ASSERT_TRUE(view.ok());
-  EXPECT_FALSE(view->is_slice());
-  ASSERT_GT(view->body_count(), 0u);
-  EXPECT_GT(view->mode_count(), 0u);
-
-  // Every chunk the view hands out must appear verbatim in the text blob
-  // (bodies are stored by the text format as verbatim chunks), resolved in
-  // reverse id order so deep delta chains exercise the memoized walk.
-  for (uint64_t id = view->body_count(); id-- > 0;) {
-    auto chunk = view->BodyChunk(id);
-    ASSERT_TRUE(chunk.ok()) << "body " << id << ": " << chunk.status().ToString();
-    EXPECT_NE(blob.find(*chunk), std::string::npos)
-        << "body " << id << " chunk not found verbatim in the blob";
-  }
-  EXPECT_EQ(view->body_count() + 0u, view->body_count());
-  auto text = view->DecodeText();
-  ASSERT_TRUE(text.ok());
-  EXPECT_EQ(*text, blob);
 }
 
 // Fuzzed oracle: random edit streams over random systems; every blob,
@@ -277,10 +245,10 @@ TEST(StrategyBinary, FuzzedEditStreamsRoundTrip) {
         ASSERT_TRUE(slice.ok());
         checked += CheckRoundTrip(*slice, "fuzz edited slice");
       }
-      auto patch_image = fmt::MakeStrategyPatchImage(blob, next_blob);
-      ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
       auto patch = MakeStrategyPatch(blob, next_blob);
       ASSERT_TRUE(patch.ok());
+      auto patch_image = fmt::EncodePatchImage(*patch);
+      ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
       auto decoded = fmt::DecodePatchImage(*patch_image);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(SaveStrategyPatch(*decoded), SaveStrategyPatch(*patch));
@@ -517,10 +485,11 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
   //   - structural/grammar validation rejects it (engine refuses, state
   //     bit-identical);
   //   - it survives validation but the forged content is caught by the
-  //     trailer text fingerprint the moment text is materialized (a
-  //     self-consistent forgery is outside the corruption model the
-  //     fingerprints defend — see docs/strategy_format.md — but it must
-  //     still fail *cleanly*, never silently yield wrong text);
+  //     trailer text fingerprint the moment text is decoded, which the
+  //     engine does on install (a self-consistent forgery is outside the
+  //     corruption model the fingerprints defend — see
+  //     docs/strategy_format.md — but it must still fail *cleanly*, never
+  //     silently yield wrong text);
   //   - the byte was semantically inert and the image still decodes to the
   //     exact original text.
   size_t rejected = 0;
@@ -535,19 +504,18 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
     Reseal(&forged);
     const bool valid = fmt::ValidateStrategyImage(forged).ok();
     auto decoded = fmt::DecodeStrategyImage(forged);
-    if (!valid) {
-      ++rejected;
-      EXPECT_FALSE(decoded.ok()) << "byte " << i << ": invalid image decoded";
+    if (!decoded.ok()) {
+      if (valid) {
+        ++forged_content;
+      } else {
+        ++rejected;
+      }
       InstallEngine engine = fx.EngineFor0();
       const uint64_t before = engine.StateFingerprint();
       EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok()) << "byte " << i;
       EXPECT_EQ(engine.StateFingerprint(), before) << "byte " << i;
-    } else if (!decoded.ok()) {
-      ++forged_content;
-      auto view = fmt::BinaryStrategyView::Map(forged);
-      if (view.ok()) {
-        EXPECT_FALSE(view->DecodeText().ok()) << "byte " << i;
-      }
+    } else if (!valid) {
+      ADD_FAILURE() << "byte " << i << ": invalid image decoded";
     } else {
       ++benign;
       EXPECT_EQ(*decoded, fx.slice0) << "byte " << i << " forged text undetected";
@@ -569,33 +537,20 @@ TEST(StrategyBinaryCorruption, MismatchedTrailerFingerprint) {
   WriteFixed64At(&forged, text_fp_at, ReadFixed64At(forged, text_fp_at) ^ 1);
   Reseal(&forged);
   EXPECT_FALSE(fmt::DecodeStrategyImage(forged).ok());
-  auto view = fmt::BinaryStrategyView::Map(forged);
-  if (view.ok()) {
-    EXPECT_FALSE(view->DecodeText().ok());
-  }
-  // The engine may map it (the chain fingerprint in META is intact — this
-  // is forgery, not corruption, and the fingerprint chain's contract is
-  // corruption), but a later patch against it must fail cleanly without
-  // mutating state.
+  // The chain fingerprint in META is intact, but the engine decodes on
+  // install, so the text hash refuses it with the state bit-identical.
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  if (engine.InstallFull(forged, fx.blob_fp).ok()) {
-    const uint64_t installed = engine.StateFingerprint();
-    auto patch = MakeStrategyPatch(fx.blob, fx.blob);
-    ASSERT_TRUE(patch.ok());
-    auto sliced = SaveStrategyPatchSlice(*patch, 0);
-    ASSERT_TRUE(sliced.ok());
-    EXPECT_FALSE(engine.ApplyPatch(*sliced).ok());
-    EXPECT_EQ(engine.StateFingerprint(), installed);
-  } else {
-    EXPECT_EQ(engine.StateFingerprint(), before);
-  }
+  EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok());
+  EXPECT_EQ(engine.StateFingerprint(), before);
 }
 
 TEST(StrategyBinaryCorruption, WrongNodeAndWrongChainReject) {
   ImageFixture fx;
   // Node 1's slice image refused by node 0's engine.
-  auto slice1 = fmt::ExtractSliceImage(fx.blob, 1);
+  auto slice1_text = ExtractSlice(fx.blob, 1);
+  ASSERT_TRUE(slice1_text.ok());
+  auto slice1 = fmt::EncodeStrategyImage(*slice1_text);
   ASSERT_TRUE(slice1.ok());
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
@@ -743,20 +698,36 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
     EXPECT_EQ(*decoded, v2->full_slices[n]) << n;
   }
 
-  // Engines ride the v4 artifacts to the same end state as v2 text.
+  // Format invariance: the installed state does not depend on the wire
+  // format an artifact arrived in.
   for (uint32_t n = 0; n < v4->full_slices.size(); ++n) {
     InstallEngine patched{NodeId(n)};
     ASSERT_TRUE(patched.InstallFull(v4->base_slices[n], v4->base_fp).ok());
     ASSERT_TRUE(patched.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(patched.strategy_fingerprint(), v4->target_fp);
     EXPECT_EQ(patched.slice(), v2->full_slices[n]) << "node " << n;
-    EXPECT_GT(patched.stats().image_installs, 0u);
 
-    InstallEngine mapped{NodeId(n)};
-    ASSERT_TRUE(mapped.InstallFull(v4->full_slices[n], v4->target_fp).ok()) << "node " << n;
-    EXPECT_EQ(mapped.strategy_fingerprint(), v4->target_fp);
-    EXPECT_TRUE(mapped.slice().empty());  // zero-parse: stored as the image
-    EXPECT_EQ(mapped.image(), v4->full_slices[n]);
+    // A full slice installed from the v4 image or from the v2 text.
+    InstallEngine from_image{NodeId(n)};
+    InstallEngine from_text{NodeId(n)};
+    ASSERT_TRUE(from_image.InstallFull(v4->full_slices[n], v4->target_fp).ok()) << n;
+    ASSERT_TRUE(from_text.InstallFull(v2->full_slices[n], v2->target_fp).ok()) << n;
+    EXPECT_EQ(from_image.slice(), from_text.slice()) << "node " << n;
+    EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
+
+    // The v4 patch applied on top of either leaves equal state: on a base
+    // slice installed from its image or its text it lands on the same
+    // target state; on the target it is refused by both alike.
+    InstallEngine image_base{NodeId(n)};
+    auto base_slice_image = fmt::EncodeStrategyImage(v4->base_slices[n]);
+    ASSERT_TRUE(base_slice_image.ok()) << n;
+    ASSERT_TRUE(image_base.InstallFull(*base_slice_image, v4->base_fp).ok()) << n;
+    ASSERT_TRUE(image_base.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
+    EXPECT_EQ(image_base.slice(), patched.slice()) << "node " << n;
+    EXPECT_EQ(image_base.StateFingerprint(), patched.StateFingerprint()) << "node " << n;
+    EXPECT_FALSE(from_image.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
+    EXPECT_FALSE(from_text.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
+    EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
   }
 }
 

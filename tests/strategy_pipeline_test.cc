@@ -1,7 +1,7 @@
 // Tests for the layered strategy-compilation pipeline: wave-parallel
 // building (StrategyBuilder), structural deduplication (Strategy pools),
-// O(1) lookup (StrategyIndex), and dedup-preserving serialization
-// (strategy_io v2).
+// hashed fault-set lookup (Strategy::Lookup), and dedup-preserving
+// serialization (strategy_io v2).
 
 #include <gtest/gtest.h>
 
@@ -32,24 +32,26 @@ const Plan* LinearLookup(const Strategy& strategy, const FaultSet& faults) {
   return nullptr;
 }
 
-TEST(StrategyPipeline, IndexAgreesWithLinearLookupForAllModes) {
+TEST(StrategyPipeline, LookupAgreesWithLinearLookupForAllModes) {
   Scenario s = MakeAvionicsScenario();
   Planner planner(&s.topology, &s.workload, Config(2));
   auto strategy = planner.BuildStrategy();
   ASSERT_TRUE(strategy.ok()) << strategy.status().ToString();
+  EXPECT_EQ(strategy->PlannedSets().size(), strategy->mode_count());
 
-  StrategyIndex index(*strategy);
-  EXPECT_EQ(index.size(), strategy->mode_count());
-
-  // Every planned fault set (f <= 2) resolves to the very same plan object.
+  // Every planned fault set (f <= 2) resolves to the very same plan object,
+  // and that plan is the one planned for exactly this set.
   for (const FaultSet& faults : strategy->PlannedSets()) {
-    EXPECT_EQ(index.Find(faults), LinearLookup(*strategy, faults)) << faults.ToString();
+    const Plan* plan = strategy->Lookup(faults);
+    ASSERT_NE(plan, nullptr) << faults.ToString();
+    EXPECT_EQ(plan, LinearLookup(*strategy, faults)) << faults.ToString();
+    EXPECT_EQ(plan->faults, faults);
   }
   // Unplanned sets (size f + 1) miss in both.
   const size_t n = s.topology.node_count();
   for (uint32_t a = 0; a + 2 < n; ++a) {
     const FaultSet beyond({NodeId(a), NodeId(a + 1), NodeId(a + 2)});
-    EXPECT_EQ(index.Find(beyond), nullptr);
+    EXPECT_EQ(strategy->Lookup(beyond), nullptr);
     EXPECT_EQ(LinearLookup(*strategy, beyond), nullptr);
   }
 }
