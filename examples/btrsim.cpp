@@ -25,6 +25,11 @@
 //          [--fault BEHAVIOR] [--fault-node N] [--fault-at-ms T]
 //          [--fault-until-ms T] [--analyze] [--save-strategy FILE]
 //          [--dump-spec] [--verbose]
+//
+// Exit status: 0 when Definition 3.1 holds, 1 when it is violated (or the
+// run or a sweep job fails, or a sweep job is vacuous), 2 on a usage error,
+// 3 when a single run is vacuous (no sink instance was served, so the
+// definition holds only because nothing was checked).
 
 #include <cstdio>
 #include <cstring>
@@ -75,6 +80,9 @@ struct Options {
   bool bench_service = false;
 };
 
+// A single run that served no sink instance exits with this distinct code.
+constexpr int kExitVacuous = 3;
+
 int Usage(const char* argv0) {
   std::printf(
       "usage: %s [--spec FILE.btrx]\n"
@@ -85,7 +93,9 @@ int Usage(const char* argv0) {
       "                   delay|equivocate|evidence-flood]\n"
       "          [--fault-node N] [--fault-at-ms T] [--fault-until-ms T]\n"
       "          [--analyze] [--save-strategy FILE] [--dump-spec] [--verbose]\n"
-      "          [--jobs N] [--no-cache] [--results FILE.btrr] [--bench-service]\n",
+      "          [--jobs N] [--no-cache] [--results FILE.btrr] [--bench-service]\n"
+      "exit status: 0 Definition 3.1 holds; 1 violated, failed, or a vacuous sweep job;\n"
+      "             2 usage error; 3 vacuous single run (no sink instance served)\n",
       argv0);
   return 2;
 }
@@ -294,7 +304,7 @@ int RunSweep(const ExperimentSpec& spec, const Options& opts) {
                   std::to_string(job.correct) + "/" + std::to_string(job.expected),
                   CellDouble(ToMillisF(job.worst_recovery), 2) + " ms",
                   Verdict(job.violated, job.correct, "vacuous"), fp_hex});
-    if (job.violated) {
+    if (job.violated || job.correct == 0) {
       ++failures;
     }
   }
@@ -526,10 +536,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool violated = AnyViolation(*report);
+  const uint64_t correct = CorrectInstances(*report);
   std::printf("\nDefinition 3.1 (R = %.0f ms): %s\n", ToMillisF(spec.recovery_bound),
-              Verdict(violated, CorrectInstances(*report),
-                      "vacuous (no sink instance served)"));
+              Verdict(violated, correct, "vacuous (no sink instance served)"));
   std::printf("experiment fingerprint: %016llx\n",
               static_cast<unsigned long long>(FingerprintExperimentReport(*report)));
-  return violated ? 1 : 0;
+  if (violated) {
+    return 1;
+  }
+  return correct == 0 ? kExitVacuous : 0;
 }

@@ -149,6 +149,14 @@ StatusOr<Plan> Planner::TryPlan(ModeContext* ctx, const std::vector<const Plan*>
   return Plan(ctx->faults, ctx->routing, std::move(body).value());
 }
 
+StatusOr<Plan> Planner::PlanServing(const FaultSet& faults,
+                                    const std::vector<const Plan*>& parents,
+                                    const std::vector<TaskId>& served_sinks) const {
+  ModeContext ctx =
+      placement_->PrepareContext(faults, std::make_shared<RoutingTable>(*topo_, faults.nodes()));
+  return TryPlan(&ctx, parents, served_sinks);
+}
+
 StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
                                     const std::vector<const Plan*>& parents,
                                     std::shared_ptr<const RoutingTable> routing) const {
@@ -160,27 +168,47 @@ StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
   }
 
   // Stage: sink admission (which flows can run at all, shedding order).
-  std::vector<TaskId> served = admission_->Admit(faults);
+  const std::vector<TaskId> admitted = admission_->Admit(faults);
 
   ModeContext ctx = placement_->PrepareContext(faults, std::move(routing));
-  for (;;) {
-    StatusOr<Plan> attempt = TryPlan(&ctx, parents, served);
-    if (attempt.ok()) {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++metrics_.modes_planned;
-      if (!attempt->shed_sinks().empty()) {
-        ++metrics_.modes_degraded;
+  StatusOr<Plan> plan = TryPlan(&ctx, parents, admitted);
+  if (!plan.ok() && config_.shed_by_criticality) {
+    // Shed search: bisect the served-prefix length L. Invariant: L = hi is
+    // infeasible, and `plan` holds the plan for L = lo - 1 (feasible) or,
+    // while lo == 0, the latest failure. It ends at a feasible L whose
+    // L + 1 is infeasible, in O(log k) attempts; if even L = 0 fails, it
+    // returns that failure. Where feasibility is monotone in L this is the
+    // largest feasible prefix; where greedy placement makes it
+    // non-monotone (a longer prefix feasible above an infeasible one) it
+    // can be shorter.
+    size_t lo = 0;
+    size_t hi = admitted.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      StatusOr<Plan> attempt = TryPlan(
+          &ctx, parents, std::vector<TaskId>(admitted.begin(), admitted.begin() + mid));
+      if (attempt.ok()) {
+        lo = mid + 1;
+        plan = std::move(attempt);
+        continue;
       }
-      return attempt;
+      BTR_LOG(kDebug, "planner") << "mode " << faults.ToString() << " infeasible serving "
+                                 << mid << " of " << admitted.size() << " sinks ("
+                                 << attempt.status().ToString() << ")";
+      hi = mid;
+      if (lo == 0) {
+        plan = std::move(attempt);
+      }
     }
-    if (served.empty() || !config_.shed_by_criticality) {
-      return attempt.status();
-    }
-    BTR_LOG(kDebug, "planner") << "mode " << faults.ToString() << " infeasible ("
-                               << attempt.status().ToString() << "); shedding "
-                               << workload_->task(served.back()).name;
-    served.pop_back();
   }
+  if (plan.ok()) {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    ++metrics_.modes_planned;
+    if (!plan->shed_sinks().empty()) {
+      ++metrics_.modes_degraded;
+    }
+  }
+  return plan;
 }
 
 StatusOr<Strategy> Planner::BuildStrategy() const {

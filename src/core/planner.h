@@ -18,9 +18,14 @@
 //      plus scored heuristics — load balance, communication locality,
 //      parent-plan stickiness, and strategic lookahead.
 //   3. ScheduleStage list-schedules the placed tasks with
-//      communication-delay budgets; if infeasible, the planner sheds the
-//      least-critical served sink and retries (criticality-aware
-//      degradation).
+//      communication-delay budgets. If the full admitted set is
+//      infeasible, the planner degrades by criticality: it bisects the
+//      length L of the served prefix (admission order, most critical
+//      first) for a feasible L whose L + 1 is infeasible, in O(log k)
+//      attempts for k admitted sinks. Where feasibility is monotone in L
+//      (every generator's modes but a few convoy / convoy-mobile ones,
+//      tests/shed_search_test.cc), that is the largest feasible prefix;
+//      where greedy placement makes it non-monotone, it can be shorter.
 //
 // Whole strategies are compiled by the wave-parallel StrategyBuilder
 // (strategy_builder.h); Planner::BuildStrategy is a convenience wrapper.
@@ -74,6 +79,12 @@ class Planner {
   // when null, the routing is built here.
   StatusOr<Plan> PlanForMode(const FaultSet& faults, const std::vector<const Plan*>& parents,
                              std::shared_ptr<const RoutingTable> routing = nullptr) const;
+
+  // One placement + schedule attempt for exactly `served_sinks`, with no
+  // shedding; counts as a schedule attempt but not as a planned mode. The
+  // shed search's oracle: tests probe every prefix of the admitted set.
+  StatusOr<Plan> PlanServing(const FaultSet& faults, const std::vector<const Plan*>& parents,
+                             const std::vector<TaskId>& served_sinks) const;
 
   // Enumerates every fault set up to max_faults and plans it. Convenience
   // wrapper over StrategyBuilder with config().planner_threads workers.

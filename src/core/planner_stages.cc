@@ -436,8 +436,8 @@ StatusOr<PlanBody> ScheduleStage::BuildBody(const ModeContext& ctx,
     se.comm_delay = latency_->EdgeBudget(ctx.placement[e.from], ctx.placement[e.to],
                                          effective_bytes(e), *ctx.routing, &node_fg_bytes);
     if (se.comm_delay < 0) {
-      // A pinned endpoint ended up unreachable in this mode; the caller
-      // sheds the affected flow and retries.
+      // A pinned endpoint ended up unreachable in this mode; the caller's
+      // shed search tries shorter served prefixes.
       return Status::Infeasible(graph_->task(e.from).name + " cannot reach " +
                                 graph_->task(e.to).name);
     }

@@ -32,8 +32,11 @@
 namespace btr {
 
 // Per-mode planning state threaded through the stages. The mode part is
-// built once per mode (PrepareContext); each shed attempt (re)sizes and
-// clears only the attempt part (Planner::TryPlan).
+// built once per mode (PrepareContext); each attempt of the shed search
+// (the full admitted set, then one per bisection step over the served
+// prefix) (re)sizes and clears only the attempt part (Planner::TryPlan),
+// so an attempt's outcome depends on its served set alone, never on the
+// attempts before it.
 struct ModeContext {
   // Mode part: a function of the fault set and routing alone.
   FaultSet faults;
@@ -61,8 +64,8 @@ class ModeEnumerator {
 
 // Stage 2: sink admission / shedding order. A sink is servable iff neither
 // it nor any of its sources sits on a faulty node. The returned vector is
-// sorted highest criticality first so the degradation loop sheds from the
-// back (lowest criticality first).
+// sorted highest criticality first, so a degraded mode serves a prefix of
+// it and sheds from the back (lowest criticality first).
 class SinkAdmission {
  public:
   explicit SinkAdmission(const Dataflow* workload) : workload_(workload) {}
@@ -157,8 +160,8 @@ class PlacementStage {
 // Stage 4: schedule validation. List-schedules the placed tasks with
 // communication-delay budgets and assembles the immutable PlanBody
 // (placement, start offsets, per-node tables, edge budgets, shedding,
-// utility). Infeasibility propagates to the caller, which sheds and
-// retries.
+// utility). Infeasibility propagates to the caller, whose shed search
+// bisects the served prefix (Planner::PlanForMode).
 class ScheduleStage {
  public:
   ScheduleStage(const Topology* topo, const Dataflow* workload, const AugmentedGraph* graph,
