@@ -10,7 +10,9 @@
 //   time   — node install cost for a full slice: parse-and-verify the
 //            text slice vs decode-then-verify the v4 image (the engine
 //            keeps text only, so an image is decoded once on install;
-//            InstallEngine::InstallFull both ways, wall clock).
+//            InstallEngine::InstallFull both ways, wall clock); and the
+//            distributor's cost of building one rollout's artifacts
+//            (BuildStrategyUpdate for bus_remeasure) in each wire format.
 //   safety — the formats must be semantically invisible: a run on the
 //            planned strategy, on the strategy loaded back from the v2
 //            text, and on the strategy loaded from the v4 image must
@@ -20,10 +22,12 @@
 // Emits one `BENCH_JSON {"bench":"strategy_format",...}` row that
 // ci/run_benches.sh --format folds into BENCH_runtime.json.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/runtime.h"
@@ -54,10 +58,32 @@ BtrConfig E7Config() { return DefaultBtrConfig(2, Milliseconds(500)); }
 struct PatchMeasurement {
   size_t text_bytes = 0;
   size_t image_bytes = 0;
+  double update_v2_ms = 0;  // BuildStrategyUpdate wall clock, median of kUpdateReps
+  double update_v4_ms = 0;
 };
 
+constexpr int kUpdateReps = 5;
+
+// Median wall-clock milliseconds of BuildStrategyUpdate(base, target, format).
+double TimeUpdate(const std::string& base, const std::string& target,
+                  StrategyWireFormat format) {
+  std::vector<double> ms;
+  for (int i = 0; i < kUpdateReps; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    if (!BuildStrategyUpdate(base, target, format).ok()) {
+      return -1.0;
+    }
+    ms.push_back(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                           start)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 // Stages `edit` through the real incremental-replan path (ApplyDelta →
-// Rebuild → diff) and measures the full patch in both serializations.
+// Rebuild → diff), measures the full patch in both serializations, and
+// times building the rollout's artifacts in both wire formats.
 StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const std::string& base_blob,
                                         const DeltaEdit& edit) {
   BtrConfig config = E7Config();
@@ -86,6 +112,11 @@ StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const std::string&
     return image.status();
   }
   m.image_bytes = image->size();
+  m.update_v2_ms = TimeUpdate(base_blob, target_blob, StrategyWireFormat::kV2Text);
+  m.update_v4_ms = TimeUpdate(base_blob, target_blob, StrategyWireFormat::kV4Binary);
+  if (m.update_v2_ms < 0 || m.update_v4_ms < 0) {
+    return Status::Internal("BuildStrategyUpdate failed");
+  }
   return m;
 }
 
@@ -218,6 +249,11 @@ int Run(int reps) {
                                static_cast<double>(bus_remeasure->text_bytes),
                            1) +
                     " %"});
+  table.AddRow({"update build: bus_remeasure",
+                CellDouble(bus_remeasure->update_v2_ms, 2) + " ms",
+                CellDouble(bus_remeasure->update_v4_ms, 2) + " ms",
+                CellDouble(100.0 * bus_remeasure->update_v4_ms / bus_remeasure->update_v2_ms, 1) +
+                    " %"});
   table.AddRow({"slice install (node 0)", CellDouble(parse_us, 1) + " us",
                 CellDouble(image_us, 1) + " us",
                 CellDouble(100.0 * image_us / parse_us, 1) + " %"});
@@ -225,7 +261,9 @@ int Run(int reps) {
   std::printf("(install = InstallEngine::InstallFull wall clock over %d reps: full\n"
               " parse + canonical re-check for text; for the image, a sealed decode to\n"
               " the same text first, then the same checks; reports_match pins planned /\n"
-              " v2-loaded / v4-loaded runs to byte-identical reports)\n\n", reps);
+              " v2-loaded / v4-loaded runs to byte-identical reports; update build =\n"
+              " BuildStrategyUpdate for the bus_remeasure edit, median of %d)\n\n",
+              reps, kUpdateReps);
 
   std::printf(
       "BENCH_JSON {\"bench\":\"strategy_format\",\"preset\":\"e7\","
@@ -234,10 +272,12 @@ int Run(int reps) {
       "\"bus_remeasure_patch_text_bytes\":%zu,\"bus_remeasure_patch_image_bytes\":%zu,"
       "\"bus_remeasure_patch_vs_v2_blob\":%.4f,"
       "\"parse_install_us\":%.1f,\"image_install_us\":%.1f,"
+      "\"update_v2_ms\":%.2f,\"update_v4_ms\":%.2f,"
       "\"reports_match\":%s,\"report_fingerprint\":\"%016llx\"}\n",
       v2_blob.size(), v4_blob->size(), v4_bytes / v2_bytes, link_flap->text_bytes,
       link_flap->image_bytes, bus_remeasure->text_bytes, bus_remeasure->image_bytes,
       static_cast<double>(bus_remeasure->image_bytes) / v2_bytes, parse_us, image_us,
+      bus_remeasure->update_v2_ms, bus_remeasure->update_v4_ms,
       reports_match ? "true" : "false", static_cast<unsigned long long>(report_fp));
 
   if (!reports_match) {

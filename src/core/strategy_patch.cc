@@ -653,15 +653,27 @@ StatusOr<StrategyPatch> MakeStrategyPatchSlice(const StrategyPatch& patch, uint3
   if (node >= patch.node_count) {
     return Status::InvalidArgument("node outside the patch's node universe");
   }
-  StrategyPatch sliced = patch;
+  StrategyPatch sliced;
   sliced.sliced = true;
   sliced.slice_node = node;
-  for (StrategyPatch::BodyDef& def : sliced.bodies) {
-    if (!def.copy) {
-      def.text = FilterBodyForNode(def.text, node);
-    }
+  sliced.aug_count = patch.aug_count;
+  sliced.node_count = patch.node_count;
+  sliced.edge_count = patch.edge_count;
+  sliced.base_fp = patch.base_fp;
+  sliced.target_fp = patch.target_fp;
+  sliced.has_prov = patch.has_prov;
+  sliced.prov_max_faults = patch.prov_max_faults;
+  sliced.prov_planner_fp = patch.prov_planner_fp;
+  sliced.old_body_count = patch.old_body_count;
+  sliced.bodies.reserve(patch.bodies.size());
+  for (const StrategyPatch::BodyDef& def : patch.bodies) {
+    sliced.bodies.push_back(
+        {def.copy, def.old_id, def.copy ? std::string() : FilterBodyForNode(def.text, node)});
   }
-  sliced.slice_fps.clear();
+  sliced.deleted_old = patch.deleted_old;
+  sliced.sets = patch.sets;
+  sliced.dels = patch.dels;
+  sliced.final_mode_count = patch.final_mode_count;
   for (const auto& [n, fp] : patch.slice_fps) {
     if (n == node) {
       sliced.slice_fps.emplace_back(n, fp);
@@ -931,32 +943,17 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   }
   update.patch_slices = std::move(*patch_slices);
   if (format == StrategyWireFormat::kV4Binary) {
-    StatusOr<std::string> blob_img = fmt::EncodeStrategyImage(update.target_blob);
-    if (!blob_img.ok()) {
-      return blob_img.status();
+    const fmt::RolloutArtifacts texts{std::move(update.target_blob), std::move(update.patch_full),
+                                      std::move(update.full_slices),
+                                      std::move(update.patch_slices)};
+    StatusOr<fmt::RolloutArtifacts> images = fmt::EncodeRolloutImages(*patch, texts);
+    if (!images.ok()) {
+      return images.status();
     }
-    update.target_blob = std::move(*blob_img);
-    StatusOr<std::string> patch_img = fmt::EncodePatchImage(*patch);
-    if (!patch_img.ok()) {
-      return patch_img.status();
-    }
-    update.patch_full = std::move(*patch_img);
-    for (uint32_t node = 0; node < n; ++node) {
-      StatusOr<std::string> slice_img = fmt::EncodeStrategyImage(update.full_slices[node]);
-      if (!slice_img.ok()) {
-        return slice_img.status();
-      }
-      update.full_slices[node] = std::move(*slice_img);
-      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(*patch, node);
-      if (!sliced.ok()) {
-        return sliced.status();
-      }
-      StatusOr<std::string> ps_img = fmt::EncodePatchImage(*sliced);
-      if (!ps_img.ok()) {
-        return ps_img.status();
-      }
-      update.patch_slices[node] = std::move(*ps_img);
-    }
+    update.target_blob = std::move(images->blob);
+    update.patch_full = std::move(images->patch);
+    update.full_slices = std::move(images->slices);
+    update.patch_slices = std::move(images->patch_slices);
   }
   update.target_blob_fp = FingerprintStrategyText(update.target_blob);
   update.patch_full_fp = FingerprintStrategyText(update.patch_full);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -209,25 +210,49 @@ Status ParseChunk(const std::string& chunk, const BodyDims& dims, DictBuilder* d
 // ParseChunk (raw sections preserve file order; delta sections were only
 // chosen for canonically sorted bodies, where sorted order IS file order).
 std::string RenderChunk(const BodyRecords& rec, const Dicts& dicts) {
-  std::string out = "U ";
+  size_t t_rows = 0;
+  for (const Pair& run : rec.t) {
+    t_rows += dicts.tables[run.second].size();
+  }
+  std::string out;
+  out.reserve(16 + dicts.strings[rec.u_ref].size() +
+              24 * (rec.p.size() + rec.s.size() + t_rows + rec.b.size()));
+  // Appends " <v>" without a temporary string.
+  const auto field = [&out](uint64_t v) {
+    char buf[24] = {' '};
+    char* end = std::to_chars(buf + 1, buf + sizeof(buf), v).ptr;
+    out.append(buf, end);
+  };
+  out += "U ";
   out += dicts.strings[rec.u_ref];
   out += '\n';
   for (const PRow& row : rec.p) {
-    out += "P " + std::to_string(row.aug) + " " + std::to_string(row.node) + " " +
-           std::to_string(row.start) + "\n";
+    out += 'P';
+    field(row.aug);
+    field(row.node);
+    field(row.start);
+    out += '\n';
   }
   for (uint64_t sink : rec.s) {
-    out += "S " + std::to_string(sink) + "\n";
+    out += 'S';
+    field(sink);
+    out += '\n';
   }
   for (const Pair& run : rec.t) {
-    const std::string node_prefix = "T " + std::to_string(run.first) + " ";
     for (const TableRow& row : dicts.tables[run.second]) {
-      out += node_prefix + std::to_string(row[0]) + " " + std::to_string(row[1]) + " " +
-             std::to_string(row[2]) + "\n";
+      out += 'T';
+      field(run.first);
+      field(row[0]);
+      field(row[1]);
+      field(row[2]);
+      out += '\n';
     }
   }
   for (const Pair& budget : rec.b) {
-    out += "B " + std::to_string(budget.first) + " " + std::to_string(budget.second) + "\n";
+    out += 'B';
+    field(budget.first);
+    field(budget.second);
+    out += '\n';
   }
   out += "END\n";
   return out;
@@ -385,61 +410,57 @@ std::string EncodeDeltaPairs(const std::vector<uint64_t>& removed,
   return out;
 }
 
-// Encodes one body, delta-coding each section against the parent when the
-// parent exists, both sides are canonically sorted, and the delta is
+// Replaces the raw pair section `*sec` with the delta of `child` against
+// `parent` when both sides are canonically sorted and the delta is
 // actually smaller — a pure size race, so degenerate edits never regress
-// past the raw encoding.
-std::string EncodeBodyPayload(const BodyRecords& rec, const BodyRecords* parent,
-                              uint64_t parent_id) {
-  std::string p_sec = EncodeRawP(rec.p);
-  std::string t_sec = EncodeRawPairs(rec.t);
-  std::string b_sec = EncodeRawPairs(rec.b);
-  uint64_t flags = 0;
-  if (parent != nullptr) {
-    if (StrictlyAscendingByAug(parent->p) && StrictlyAscendingByAug(rec.p)) {
-      std::vector<uint64_t> removed;
-      std::vector<PRow> changed;
-      DiffP(parent->p, rec.p, &removed, &changed);
-      std::string delta = EncodeDeltaP(removed, changed);
-      if (delta.size() < p_sec.size()) {
-        p_sec = std::move(delta);
-        flags |= kFlagDeltaP;
-      }
-    }
-    if (StrictlyAscendingByKey(parent->t) && StrictlyAscendingByKey(rec.t)) {
-      std::vector<uint64_t> removed;
-      std::vector<Pair> changed;
-      DiffPairs(parent->t, rec.t, &removed, &changed);
-      std::string delta = EncodeDeltaPairs(removed, changed);
-      if (delta.size() < t_sec.size()) {
-        t_sec = std::move(delta);
-        flags |= kFlagDeltaT;
-      }
-    }
-    if (StrictlyAscendingByKey(parent->b) && StrictlyAscendingByKey(rec.b)) {
-      std::vector<uint64_t> removed;
-      std::vector<Pair> changed;
-      DiffPairs(parent->b, rec.b, &removed, &changed);
-      std::string delta = EncodeDeltaPairs(removed, changed);
-      if (delta.size() < b_sec.size()) {
-        b_sec = std::move(delta);
-        flags |= kFlagDeltaB;
-      }
-    }
+// past the raw encoding — and then sets `flag` in `flags`.
+void RaceDeltaPairs(const std::vector<Pair>& parent, const std::vector<Pair>& child,
+                    uint64_t flag, std::string* sec, uint64_t* flags) {
+  if (!StrictlyAscendingByKey(parent) || !StrictlyAscendingByKey(child)) {
+    return;
   }
-  std::string out;
-  AppendVarint(&out, flags);
-  if (flags != 0) {
-    AppendVarint(&out, parent_id);
+  std::vector<uint64_t> removed;
+  std::vector<Pair> changed;
+  DiffPairs(parent, child, &removed, &changed);
+  std::string delta = EncodeDeltaPairs(removed, changed);
+  if (delta.size() < sec->size()) {
+    *sec = std::move(delta);
+    *flags |= flag;
   }
-  AppendVarint(&out, rec.u_ref);
-  out += p_sec;
-  AppendVarint(&out, rec.s.size());
+}
+
+// The payload sections every image of a family shares (see RecordSet):
+// P, S and B, and whether P and B delta-code against the parent. Only the
+// U reference and the T section depend on the image.
+struct SharedSections {
+  uint64_t flags = 0;  // kFlagDeltaP | kFlagDeltaB
+  std::string p;
+  std::string s;
+  std::string b;
+};
+
+SharedSections EncodeSharedSections(const BodyRecords& rec, const BodyRecords* parent) {
+  SharedSections out;
+  out.p = EncodeRawP(rec.p);
+  AppendVarint(&out.s, rec.s.size());
   for (uint64_t sink : rec.s) {
-    AppendVarint(&out, sink);
+    AppendVarint(&out.s, sink);
   }
-  out += t_sec;
-  out += b_sec;
+  out.b = EncodeRawPairs(rec.b);
+  if (parent == nullptr) {
+    return out;
+  }
+  if (StrictlyAscendingByAug(parent->p) && StrictlyAscendingByAug(rec.p)) {
+    std::vector<uint64_t> removed;
+    std::vector<PRow> changed;
+    DiffP(parent->p, rec.p, &removed, &changed);
+    std::string delta = EncodeDeltaP(removed, changed);
+    if (delta.size() < out.p.size()) {
+      out.p = std::move(delta);
+      out.flags |= kFlagDeltaP;
+    }
+  }
+  RaceDeltaPairs(parent->b, rec.b, kFlagDeltaB, &out.b, &out.flags);
   return out;
 }
 
@@ -621,16 +642,19 @@ Status DecodeBodyPayload(std::string_view span, uint64_t id, const BodyDims& dim
 // set minus its last element — the level-(k-1) wave parent. Canonical mode
 // order lists the parent's mode first, so the parent's file id precedes the
 // child's; when it does not (or the prefix mode is absent), the body simply
-// encodes raw.
-std::vector<std::optional<uint64_t>> PrefixParents(
-    const std::vector<std::pair<std::vector<uint32_t>, uint64_t>>& modes, size_t body_count) {
+// encodes raw. `Mode` is Parts::Mode or StrategyPatch::ModeRef.
+template <typename Mode>
+std::vector<std::optional<uint64_t>> PrefixParents(const std::vector<Mode>& modes,
+                                                   size_t body_count) {
   std::map<std::vector<uint32_t>, uint64_t> ref_of;
-  for (const auto& [faults, ref] : modes) {
-    ref_of.try_emplace(faults, ref);
+  for (const Mode& mode : modes) {
+    ref_of.try_emplace(mode.fault_nodes, mode.ref);
   }
   std::vector<std::optional<uint64_t>> parent(body_count);
   std::vector<bool> seen(body_count, false);
-  for (const auto& [faults, ref] : modes) {
+  for (const Mode& mode : modes) {
+    const std::vector<uint32_t>& faults = mode.fault_nodes;
+    const uint64_t ref = mode.ref;
     if (ref >= body_count || seen[ref]) {
       continue;
     }
@@ -649,10 +673,13 @@ std::vector<std::optional<uint64_t>> PrefixParents(
 
 // ---- section encode / decode ---------------------------------------------
 
-std::string EncodeStrDict(const Dicts& dicts) {
+// Dictionary sections list the family-wide entries `order` names, in that
+// order: an image's own first-seen numbering (see EncodeImage).
+std::string EncodeStrDict(const Dicts& dicts, const std::vector<uint64_t>& order) {
   std::string out;
-  AppendVarint(&out, dicts.strings.size());
-  for (const std::string& s : dicts.strings) {
+  AppendVarint(&out, order.size());
+  for (uint64_t id : order) {
+    const std::string& s = dicts.strings[id];
     AppendVarint(&out, s.size());
     out += s;
   }
@@ -685,10 +712,11 @@ Status DecodeStrDict(std::string_view section, Dicts* dicts) {
   return Status::Ok();
 }
 
-std::string EncodeTabDict(const Dicts& dicts) {
+std::string EncodeTabDict(const Dicts& dicts, const std::vector<uint64_t>& order) {
   std::string out;
-  AppendVarint(&out, dicts.tables.size());
-  for (const std::vector<TableRow>& rows : dicts.tables) {
+  AppendVarint(&out, order.size());
+  for (uint64_t id : order) {
+    const std::vector<TableRow>& rows = dicts.tables[id];
     AppendVarint(&out, rows.size());
     for (const TableRow& row : rows) {
       AppendVarint(&out, row[0]);
@@ -1144,40 +1172,245 @@ StatusOr<std::string> RenderShellText(const Shell& shell, const std::vector<Deco
   return text;
 }
 
-}  // namespace
+// ---- image encode --------------------------------------------------------
 
-// ---- public API ----------------------------------------------------------
+// One image to encode: its kind and header, the T rows its bodies keep,
+// and the canonical text it must decode back to.
+struct ImageSpec {
+  uint8_t kind = kKindBlob;
+  std::optional<uint64_t> node;  // keep only this node's T rows
+  std::string meta;
+  std::string modes;  // encoded MODES section
+  bool has_prov = false;
+  uint64_t prov_max_faults = 0;
+  uint64_t prov_planner_fp = 0;
+  const std::string* text = nullptr;
+};
 
-StatusOr<std::string> EncodeStrategyImage(const std::string& text) {
-  const StatusOr<Parts> parts_or = strategy_text::ParseParts(text);
-  if (!parts_or.ok()) {
-    return parts_or.status();
+// The body records of one family of images, parsed once: a blob and its
+// node slices, or a patch and its node patch slices. Every image of a
+// family has the same bodies with the same U/P/S/B records and the same
+// mode table, so the records, their delta parents and their shared payload
+// sections are built once. Images differ only in the T rows each body
+// keeps, in the numbering of their dictionaries, and in their headers.
+struct RecordSet {
+  DictBuilder dicts;  // family-wide ids, first-seen over the full bodies
+  std::vector<BodyRecords> records;
+  std::vector<std::optional<uint64_t>> copy_of;  // BCOPY bodies: the base id
+  std::vector<std::optional<uint64_t>> parents;
+  std::vector<SharedSections> shared;
+  ImageSpec full;  // the family's full image (its text is the caller's)
+};
+
+// Blob or slice header; `slice_node` is set for slices, whose SFP is `sfp`.
+std::string EncodeStrategyMeta(const BodyDims& dims, const std::optional<uint64_t>& slice_node,
+                               uint64_t sfp) {
+  std::string meta;
+  AppendVarint(&meta, dims.aug_count);
+  AppendVarint(&meta, dims.node_count);
+  AppendVarint(&meta, dims.edge_count);
+  if (slice_node.has_value()) {
+    AppendVarint(&meta, *slice_node);
+    AppendFixed64(&meta, sfp);
   }
-  const Parts& parts = *parts_or;
-  const BodyDims dims{parts.aug_count, parts.node_count, parts.edge_count};
-  DictBuilder dicts;
-  std::vector<BodyRecords> records(parts.bodies.size());
-  for (size_t id = 0; id < parts.bodies.size(); ++id) {
-    const Status chunk = ParseChunk(parts.bodies[id], dims, &dicts, &records[id]);
+  return meta;
+}
+
+// Patch header. With `slice_node` set, the header of the patch's slice for
+// that node, as MakeStrategyPatchSlice would produce it.
+std::string EncodePatchMeta(const StrategyPatch& patch,
+                            const std::optional<uint32_t>& slice_node) {
+  const bool sliced = patch.sliced || slice_node.has_value();
+  std::string meta;
+  AppendVarint(&meta, patch.aug_count);
+  AppendVarint(&meta, patch.node_count);
+  AppendVarint(&meta, patch.edge_count);
+  AppendFixed64(&meta, patch.base_fp);
+  AppendFixed64(&meta, patch.target_fp);
+  AppendVarint(&meta, sliced ? 1 : 0);
+  AppendVarint(&meta, sliced ? slice_node.value_or(patch.slice_node) : 0);
+  AppendVarint(&meta, patch.old_body_count);
+  AppendVarint(&meta, patch.deleted_old.size());
+  for (uint32_t id : patch.deleted_old) {
+    AppendVarint(&meta, id);
+  }
+  std::vector<std::pair<uint32_t, uint64_t>> fps;
+  for (const auto& entry : patch.slice_fps) {
+    if (!slice_node.has_value() || entry.first == *slice_node) {
+      fps.push_back(entry);
+    }
+  }
+  AppendVarint(&meta, fps.size());
+  for (const auto& [node, fp] : fps) {
+    AppendVarint(&meta, node);
+    AppendFixed64(&meta, fp);
+  }
+  AppendVarint(&meta, patch.final_mode_count);
+  return meta;
+}
+
+// `chunks[id]` is body id's canonical record chunk, unless `set->copy_of[id]`
+// names the base body a BCOPY body re-references. A BCOPY body has no
+// records and is never a delta parent: a patch image must stay
+// self-contained.
+Status ParseRecordSet(const BodyDims& dims, const std::vector<const std::string*>& chunks,
+                      std::vector<std::optional<uint64_t>> parents, RecordSet* set) {
+  set->records.resize(chunks.size());
+  for (size_t id = 0; id < chunks.size(); ++id) {
+    if (set->copy_of[id].has_value()) {
+      continue;
+    }
+    const Status chunk = ParseChunk(*chunks[id], dims, &set->dicts, &set->records[id]);
     if (!chunk.ok()) {
       return chunk;
     }
   }
-  std::vector<std::pair<std::vector<uint32_t>, uint64_t>> mode_pairs;
-  mode_pairs.reserve(parts.modes.size());
-  for (const Parts::Mode& mode : parts.modes) {
-    mode_pairs.emplace_back(mode.fault_nodes, mode.ref);
+  set->parents = std::move(parents);
+  set->shared.resize(chunks.size());
+  for (size_t id = 0; id < chunks.size(); ++id) {
+    std::optional<uint64_t>& parent = set->parents[id];
+    if (set->copy_of[id].has_value() ||
+        (parent.has_value() && set->copy_of[*parent].has_value())) {
+      parent.reset();
+    }
+    if (!set->copy_of[id].has_value()) {
+      set->shared[id] = EncodeSharedSections(
+          set->records[id], parent.has_value() ? &set->records[*parent] : nullptr);
+    }
   }
-  const std::vector<std::optional<uint64_t>> parents =
-      PrefixParents(mode_pairs, records.size());
+  return Status::Ok();
+}
 
+StatusOr<RecordSet> ParseStrategyRecords(const Parts& parts) {
+  const BodyDims dims{parts.aug_count, parts.node_count, parts.edge_count};
+  RecordSet set;
+  set.copy_of.resize(parts.bodies.size());
+  set.full.kind = parts.is_slice ? kKindSlice : kKindBlob;
+  set.full.meta = EncodeStrategyMeta(
+      dims, parts.is_slice ? std::optional<uint64_t>(parts.node) : std::nullopt,
+      parts.slice_sfp);
+  set.full.modes = EncodeModesSection(parts.modes);
+  set.full.has_prov = parts.has_prov;
+  set.full.prov_max_faults = parts.prov_max_faults;
+  set.full.prov_planner_fp = parts.prov_planner_fp;
+  std::vector<const std::string*> chunks;
+  for (const std::string& chunk : parts.bodies) {
+    chunks.push_back(&chunk);
+  }
+  const Status parsed =
+      ParseRecordSet(dims, chunks, PrefixParents(parts.modes, chunks.size()), &set);
+  if (!parsed.ok()) {
+    return parsed;
+  }
+  return set;
+}
+
+StatusOr<RecordSet> ParsePatchRecords(const StrategyPatch& patch) {
+  RecordSet set;
+  set.full.kind = kKindPatch;
+  set.full.meta = EncodePatchMeta(patch, std::nullopt);
+  set.full.modes = EncodePatchModesSection(patch);
+  set.full.has_prov = patch.has_prov;
+  set.full.prov_max_faults = patch.prov_max_faults;
+  set.full.prov_planner_fp = patch.prov_planner_fp;
+  std::vector<const std::string*> chunks;
+  for (const StrategyPatch::BodyDef& def : patch.bodies) {
+    chunks.push_back(&def.text);
+    set.copy_of.push_back(def.copy ? std::optional<uint64_t>(def.old_id) : std::nullopt);
+  }
+  const Status parsed = ParseRecordSet({patch.aug_count, patch.node_count, patch.edge_count},
+                                       chunks, PrefixParents(patch.sets, chunks.size()), &set);
+  if (!parsed.ok()) {
+    return parsed;
+  }
+  return set;
+}
+
+// Body `rec`'s T runs as one image keeps them: all of them, or only
+// `node`'s. A slice's text holds a node's rows contiguously, so when the
+// full body has several runs for the node, a parse of the slice sees one
+// run of their rows concatenated; that run gets its own table entry.
+void KeepTRuns(const BodyRecords& rec, const std::optional<uint64_t>& node, DictBuilder* dicts,
+               std::vector<Pair>* out) {
+  if (!node.has_value()) {
+    *out = rec.t;
+    return;
+  }
+  out->clear();
+  for (const Pair& run : rec.t) {
+    if (run.first != *node) {
+      continue;
+    }
+    if (out->empty()) {
+      out->push_back(run);
+      continue;
+    }
+    std::vector<TableRow> rows = dicts->dicts.tables[out->back().second];
+    const std::vector<TableRow>& more = dicts->dicts.tables[run.second];
+    rows.insert(rows.end(), more.begin(), more.end());
+    out->back().second = dicts->TableRef(std::move(rows));
+  }
+}
+
+// Encodes one image of `set`. Dictionary entries are renumbered in the
+// order a parse of the image's own text meets them (per body: U, then each
+// T run), so the bytes equal those of encoding that text alone. The image
+// is decoded and compared with its canonical text before it is returned.
+StatusOr<std::string> EncodeImage(RecordSet* set, const ImageSpec& spec) {
+  static constexpr uint64_t kUnset = UINT64_MAX;
+  std::vector<uint64_t> string_local;
+  std::vector<uint64_t> table_local;
+  std::vector<uint64_t> string_order;
+  std::vector<uint64_t> table_order;
+  const auto local_ref = [](uint64_t id, std::vector<uint64_t>* local,
+                            std::vector<uint64_t>* order) {
+    if (id >= local->size()) {
+      local->resize(id + 1, kUnset);
+    }
+    if ((*local)[id] == kUnset) {
+      (*local)[id] = order->size();
+      order->push_back(id);
+    }
+    return (*local)[id];
+  };
+
+  const size_t body_count = set->records.size();
+  std::vector<std::vector<Pair>> t(body_count);
   std::string bodies_section;
   std::string index_section;
-  for (size_t id = 0; id < records.size(); ++id) {
-    const BodyRecords* parent =
-        parents[id].has_value() ? &records[*parents[id]] : nullptr;
-    const std::string payload =
-        EncodeBodyPayload(records[id], parent, parents[id].value_or(0));
+  std::string payload;
+  for (size_t id = 0; id < body_count; ++id) {
+    payload.clear();
+    if (set->copy_of[id].has_value()) {
+      AppendVarint(&payload, 1);
+      AppendVarint(&payload, *set->copy_of[id]);
+    } else {
+      if (spec.kind == kKindPatch) {
+        AppendVarint(&payload, 0);
+      }
+      const BodyRecords& rec = set->records[id];
+      const uint64_t u_ref = local_ref(rec.u_ref, &string_local, &string_order);
+      KeepTRuns(rec, spec.node, &set->dicts, &t[id]);
+      for (Pair& run : t[id]) {
+        run.second = local_ref(run.second, &table_local, &table_order);
+      }
+      const std::optional<uint64_t>& parent = set->parents[id];
+      const SharedSections& shared = set->shared[id];
+      uint64_t flags = shared.flags;
+      std::string t_sec = EncodeRawPairs(t[id]);
+      if (parent.has_value()) {
+        RaceDeltaPairs(t[*parent], t[id], kFlagDeltaT, &t_sec, &flags);
+      }
+      AppendVarint(&payload, flags);
+      if (flags != 0) {
+        AppendVarint(&payload, *parent);
+      }
+      AppendVarint(&payload, u_ref);
+      payload += shared.p;
+      payload += shared.s;
+      payload += t_sec;
+      payload += shared.b;
+    }
     if (bodies_section.size() + payload.size() > UINT32_MAX) {
       return BadEncode("image too large");
     }
@@ -1186,33 +1419,75 @@ StatusOr<std::string> EncodeStrategyImage(const std::string& text) {
     bodies_section += payload;
   }
 
-  std::string meta;
-  AppendVarint(&meta, parts.aug_count);
-  AppendVarint(&meta, parts.node_count);
-  AppendVarint(&meta, parts.edge_count);
-  if (parts.is_slice) {
-    AppendVarint(&meta, parts.node);
-    AppendFixed64(&meta, parts.slice_sfp);
-  }
-
   std::string payloads[kSectionCount];
-  payloads[kSecMeta - 1] = std::move(meta);
-  payloads[kSecStrDict - 1] = EncodeStrDict(dicts.dicts);
-  payloads[kSecTabDict - 1] = EncodeTabDict(dicts.dicts);
+  payloads[kSecMeta - 1] = spec.meta;
+  payloads[kSecStrDict - 1] = EncodeStrDict(set->dicts.dicts, string_order);
+  payloads[kSecTabDict - 1] = EncodeTabDict(set->dicts.dicts, table_order);
   payloads[kSecBodyIdx - 1] = std::move(index_section);
   payloads[kSecBodies - 1] = std::move(bodies_section);
-  payloads[kSecModes - 1] = EncodeModesSection(parts.modes);
-  payloads[kSecTrailer - 1] = EncodeTrailerSection(parts.has_prov, parts.prov_max_faults,
-                                                   parts.prov_planner_fp, HashString(text));
-  std::string image = SealImage(parts.is_slice ? kKindSlice : kKindBlob, payloads);
+  payloads[kSecModes - 1] = spec.modes;
+  payloads[kSecTrailer - 1] = EncodeTrailerSection(spec.has_prov, spec.prov_max_faults,
+                                                   spec.prov_planner_fp, HashString(*spec.text));
+  std::string image = SealImage(spec.kind, payloads);
 
   // Same discipline as the text patch path's canonical re-serialize seal:
   // never emit an image that does not provably round-trip.
-  const StatusOr<std::string> round_trip = DecodeStrategyImage(image);
-  if (!round_trip.ok() || *round_trip != text) {
-    return Status::Internal("v4 encode self-check failed");
+  if (spec.kind == kKindPatch) {
+    const StatusOr<StrategyPatch> round_trip = DecodePatchImage(image);
+    if (!round_trip.ok() || SaveStrategyPatch(*round_trip) != *spec.text) {
+      return Status::Internal("v4 patch encode self-check failed");
+    }
+  } else {
+    const StatusOr<std::string> round_trip = DecodeStrategyImage(image);
+    if (!round_trip.ok() || *round_trip != *spec.text) {
+      return Status::Internal("v4 encode self-check failed");
+    }
   }
   return image;
+}
+
+// Encodes the family's full image into `full`, then appends to `per_node`
+// each node's image: the full spec re-kinded `node_kind`, keeping only the
+// node's T rows, with header `node_meta(node)` and text `node_texts[node]`.
+Status EncodeFamily(RecordSet* set, uint8_t node_kind,
+                    const std::function<std::string(uint32_t)>& node_meta,
+                    const std::vector<std::string>& node_texts, std::string* full,
+                    std::vector<std::string>* per_node) {
+  StatusOr<std::string> image = EncodeImage(set, set->full);
+  if (!image.ok()) {
+    return image.status();
+  }
+  *full = std::move(*image);
+  ImageSpec spec = set->full;
+  spec.kind = node_kind;
+  for (uint32_t node = 0; node < node_texts.size(); ++node) {
+    spec.node = node;
+    spec.meta = node_meta(node);
+    spec.text = &node_texts[node];
+    image = EncodeImage(set, spec);
+    if (!image.ok()) {
+      return image.status();
+    }
+    per_node->push_back(std::move(*image));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+// ---- public API ----------------------------------------------------------
+
+StatusOr<std::string> EncodeStrategyImage(const std::string& text) {
+  const StatusOr<Parts> parts = strategy_text::ParseParts(text);
+  if (!parts.ok()) {
+    return parts.status();
+  }
+  StatusOr<RecordSet> set = ParseStrategyRecords(*parts);
+  if (!set.ok()) {
+    return set.status();
+  }
+  set->full.text = &text;
+  return EncodeImage(&*set, set->full);
 }
 
 StatusOr<std::string> DecodeStrategyImage(const std::string& image) {
@@ -1231,92 +1506,53 @@ StatusOr<std::string> DecodeStrategyImage(const std::string& image) {
 }
 
 StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch) {
-  const BodyDims dims{patch.aug_count, patch.node_count, patch.edge_count};
-  DictBuilder dicts;
-  std::vector<BodyRecords> records(patch.bodies.size());
-  std::vector<bool> is_copy(patch.bodies.size(), false);
-  for (size_t id = 0; id < patch.bodies.size(); ++id) {
-    if (patch.bodies[id].copy) {
-      is_copy[id] = true;
-      continue;
-    }
-    const Status chunk = ParseChunk(patch.bodies[id].text, dims, &dicts, &records[id]);
-    if (!chunk.ok()) {
-      return chunk;
-    }
+  StatusOr<RecordSet> set = ParsePatchRecords(patch);
+  if (!set.ok()) {
+    return set.status();
   }
-  std::vector<std::pair<std::vector<uint32_t>, uint64_t>> mode_pairs;
-  mode_pairs.reserve(patch.sets.size());
-  for (const StrategyPatch::ModeRef& set : patch.sets) {
-    mode_pairs.emplace_back(set.fault_nodes, set.ref);
-  }
-  std::vector<std::optional<uint64_t>> parents = PrefixParents(mode_pairs, records.size());
-  for (size_t id = 0; id < parents.size(); ++id) {
-    // A patch image must stay self-contained: only earlier BNEW bodies in
-    // this same patch can serve as delta parents.
-    if (is_copy[id] || (parents[id].has_value() && is_copy[*parents[id]])) {
-      parents[id].reset();
-    }
-  }
-
-  std::string bodies_section;
-  std::string index_section;
-  for (size_t id = 0; id < patch.bodies.size(); ++id) {
-    std::string payload;
-    if (is_copy[id]) {
-      AppendVarint(&payload, 1);
-      AppendVarint(&payload, patch.bodies[id].old_id);
-    } else {
-      AppendVarint(&payload, 0);
-      const BodyRecords* parent =
-          parents[id].has_value() ? &records[*parents[id]] : nullptr;
-      payload += EncodeBodyPayload(records[id], parent, parents[id].value_or(0));
-    }
-    if (bodies_section.size() + payload.size() > UINT32_MAX) {
-      return BadEncode("image too large");
-    }
-    AppendFixed32(&index_section, static_cast<uint32_t>(bodies_section.size()));
-    AppendFixed32(&index_section, static_cast<uint32_t>(payload.size()));
-    bodies_section += payload;
-  }
-
-  std::string meta;
-  AppendVarint(&meta, patch.aug_count);
-  AppendVarint(&meta, patch.node_count);
-  AppendVarint(&meta, patch.edge_count);
-  AppendFixed64(&meta, patch.base_fp);
-  AppendFixed64(&meta, patch.target_fp);
-  AppendVarint(&meta, patch.sliced ? 1 : 0);
-  AppendVarint(&meta, patch.sliced ? patch.slice_node : 0);
-  AppendVarint(&meta, patch.old_body_count);
-  AppendVarint(&meta, patch.deleted_old.size());
-  for (uint32_t id : patch.deleted_old) {
-    AppendVarint(&meta, id);
-  }
-  AppendVarint(&meta, patch.slice_fps.size());
-  for (const auto& [node, fp] : patch.slice_fps) {
-    AppendVarint(&meta, node);
-    AppendFixed64(&meta, fp);
-  }
-  AppendVarint(&meta, patch.final_mode_count);
-
   const std::string text = SaveStrategyPatch(patch);
-  std::string payloads[kSectionCount];
-  payloads[kSecMeta - 1] = std::move(meta);
-  payloads[kSecStrDict - 1] = EncodeStrDict(dicts.dicts);
-  payloads[kSecTabDict - 1] = EncodeTabDict(dicts.dicts);
-  payloads[kSecBodyIdx - 1] = std::move(index_section);
-  payloads[kSecBodies - 1] = std::move(bodies_section);
-  payloads[kSecModes - 1] = EncodePatchModesSection(patch);
-  payloads[kSecTrailer - 1] = EncodeTrailerSection(patch.has_prov, patch.prov_max_faults,
-                                                   patch.prov_planner_fp, HashString(text));
-  std::string image = SealImage(kKindPatch, payloads);
+  set->full.text = &text;
+  return EncodeImage(&*set, set->full);
+}
 
-  const StatusOr<StrategyPatch> round_trip = DecodePatchImage(image);
-  if (!round_trip.ok() || SaveStrategyPatch(*round_trip) != text) {
-    return Status::Internal("v4 patch encode self-check failed");
+StatusOr<RolloutArtifacts> EncodeRolloutImages(const StrategyPatch& patch,
+                                               const RolloutArtifacts& texts) {
+  const StatusOr<Parts> target = strategy_text::ParseParts(texts.blob);
+  if (!target.ok()) {
+    return target.status();
   }
-  return image;
+  const uint64_t node_count = target->node_count;
+  if (target->is_slice || patch.sliced || patch.node_count != node_count ||
+      texts.slices.size() != node_count || texts.patch_slices.size() != node_count) {
+    return BadEncode("rollout artifacts do not describe one unsliced rollout");
+  }
+  StatusOr<RecordSet> blob_set = ParseStrategyRecords(*target);
+  if (!blob_set.ok()) {
+    return blob_set.status();
+  }
+  StatusOr<RecordSet> patch_set = ParsePatchRecords(patch);
+  if (!patch_set.ok()) {
+    return patch_set.status();
+  }
+  const BodyDims dims{target->aug_count, target->node_count, target->edge_count};
+  const uint64_t sfp = HashString(texts.blob);
+  RolloutArtifacts images;
+  blob_set->full.text = &texts.blob;
+  Status encoded = EncodeFamily(
+      &*blob_set, kKindSlice,
+      [&dims, sfp](uint32_t node) { return EncodeStrategyMeta(dims, node, sfp); },
+      texts.slices, &images.blob, &images.slices);
+  if (!encoded.ok()) {
+    return encoded;
+  }
+  patch_set->full.text = &texts.patch;
+  encoded = EncodeFamily(
+      &*patch_set, kKindPatch, [&patch](uint32_t node) { return EncodePatchMeta(patch, node); },
+      texts.patch_slices, &images.patch, &images.patch_slices);
+  if (!encoded.ok()) {
+    return encoded;
+  }
+  return images;
 }
 
 StatusOr<StrategyPatch> DecodePatchImage(const std::string& image) {

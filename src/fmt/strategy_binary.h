@@ -34,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/strategy_patch.h"
@@ -61,6 +62,24 @@ StatusOr<std::string> DecodeStrategyImage(const std::string& image);
 // fault sets), so the image is self-contained: a gossip relay holding only
 // its own slice can still decode it. Self-checked like the blob encoder.
 StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch);
+
+// A rollout's shipped artifacts (see StrategyUpdate): the target blob, the
+// unsliced patch, and per node its full slice and its patch slice.
+struct RolloutArtifacts {
+  std::string blob;
+  std::string patch;
+  std::vector<std::string> slices;
+  std::vector<std::string> patch_slices;
+};
+
+// Encodes the canonical texts of one rollout to v4 images, parsing the
+// target's bodies once and the patch's once instead of once per image.
+// `texts` must hold the target blob, SaveStrategyPatch(patch), and for
+// every node n ExtractSlice(blob, n) and SaveStrategyPatchSlice(patch, n).
+// Each image equals the one EncodeStrategyImage / EncodePatchImage gives
+// for its text alone, and is self-checked against that text the same way.
+StatusOr<RolloutArtifacts> EncodeRolloutImages(const StrategyPatch& patch,
+                                               const RolloutArtifacts& texts);
 
 // Decodes a v4 patch image. The result is re-serialized and re-parsed
 // through the strict BTRPATCH text path, so a decoded patch carries exactly

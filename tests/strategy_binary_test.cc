@@ -14,17 +14,20 @@
 //      with a clean Status and, driven through InstallEngine, leave the
 //      installed state bit-identical (StateFingerprint).
 //   3. End-to-end — BuildStrategyUpdate's bulk slice renderers are
-//      byte-equal to the per-node primitives, wire=v4 runs report the
+//      byte-equal to the per-node primitives, its one-pass v4 images are
+//      byte-equal to encoding each text alone, wire=v4 runs report the
 //      same installed state as v2 text, and a run on a v4-loaded
 //      strategy reports byte-identically to the planned and v2-loaded
 //      runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -54,6 +57,11 @@ struct System {
     planner = std::make_unique<Planner>(&topo, &workload, config);
   }
 };
+
+// HashString of the concatenated v4 images of the first update in
+// AvionicsEditStreamMatchesSingleImageEncodes, computed with the
+// per-image encoders that the one-pass rollout encoder replaced.
+constexpr uint64_t kAvionicsFirstUpdateDigest = 0x5424a1aa938dd463ULL;
 
 PlannerConfig SmallConfig(uint32_t f) {
   PlannerConfig config;
@@ -729,6 +737,268 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
     EXPECT_FALSE(from_text.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
   }
+}
+
+// --- one-pass rollout encoding ----------------------------------------------
+
+// Bodies of a slice text (PLAN .. END) that hold no T row of the slice's node.
+size_t BodiesWithoutTRows(const std::string& slice_text) {
+  size_t count = 0;
+  bool in_body = false;
+  bool saw_t = false;
+  size_t pos = 0;
+  while (pos < slice_text.size()) {
+    const size_t nl = slice_text.find('\n', pos);
+    const std::string line = slice_text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.rfind("PLAN ", 0) == 0) {
+      in_body = true;
+      saw_t = false;
+    } else if (in_body && line.rfind("T ", 0) == 0) {
+      saw_t = true;
+    } else if (in_body && line == "END") {
+      count += saw_t ? 0 : 1;
+      in_body = false;
+    }
+  }
+  return count;
+}
+
+// Every v4 artifact of BuildStrategyUpdate(base, target) must be byte-equal
+// to encoding its text alone. Returns the (node, body) pairs in which the
+// node keeps no T row, so callers can check that case was exercised.
+size_t ExpectRolloutMatchesSingleEncodes(const std::string& base, const std::string& target,
+                                         const std::string& label) {
+  auto update = BuildStrategyUpdate(base, target, StrategyWireFormat::kV4Binary);
+  auto patch = MakeStrategyPatch(base, target);
+  if (!update.ok() || !patch.ok()) {
+    ADD_FAILURE() << label << ": "
+                  << (!update.ok() ? update.status() : patch.status()).ToString();
+    return 0;
+  }
+  auto blob_image = fmt::EncodeStrategyImage(target);
+  auto patch_image = fmt::EncodePatchImage(*patch);
+  if (!blob_image.ok() || !patch_image.ok()) {
+    ADD_FAILURE() << label << ": single-image encode failed";
+    return 0;
+  }
+  EXPECT_EQ(update->target_blob, *blob_image) << label;
+  EXPECT_EQ(update->patch_full, *patch_image) << label;
+  size_t empty = 0;
+  for (uint32_t n = 0; n < patch->node_count; ++n) {
+    auto slice = ExtractSlice(target, n);
+    auto sliced = MakeStrategyPatchSlice(*patch, n);
+    if (!slice.ok() || !sliced.ok()) {
+      ADD_FAILURE() << label << ": slicing node " << n << " failed";
+      return 0;
+    }
+    auto slice_image = fmt::EncodeStrategyImage(*slice);
+    auto patch_slice_image = fmt::EncodePatchImage(*sliced);
+    if (!slice_image.ok() || !patch_slice_image.ok()) {
+      ADD_FAILURE() << label << ": single-image encode of node " << n << " failed";
+      return 0;
+    }
+    EXPECT_EQ(update->full_slices[n], *slice_image) << label << " node " << n;
+    EXPECT_EQ(update->patch_slices[n], *patch_slice_image) << label << " node " << n;
+    empty += BodiesWithoutTRows(*slice);
+  }
+  return empty;
+}
+
+// Fuzzed edit streams over random systems (as in FuzzedEditStreamsRoundTrip):
+// each generation's rollout images against the single-image encoders.
+TEST(StrategyBinaryRollout, FuzzedUpdatesMatchSingleImageEncodes) {
+  constexpr int kSeeds = 6;
+  constexpr int kEditsPerSeed = 3;
+  size_t updates = 0;
+  size_t empty_bodies = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    const PlannerConfig config = SmallConfig(1 + seed % 2);
+    std::deque<System> generations;
+    System* sys = MakeBaseSystem(&generations, config, 11 + seed * 7);
+    StrategyBuilder builder(sys->planner.get(), config.planner_threads);
+    auto strategy = builder.Build();
+    if (!strategy.ok()) {
+      continue;
+    }
+    std::string blob = Blob(*strategy, *sys->planner);
+    Rng rng(2000 + static_cast<uint64_t>(seed));
+    const System* current = sys;
+    for (int step = 0; step < kEditsPerSeed; ++step) {
+      StrategyDelta delta;
+      if (rng.NextBelow(2) == 0) {
+        const LinkSpec& link = current->topo.link(
+            LinkId(static_cast<uint32_t>(rng.NextBelow(current->topo.link_count()))));
+        delta.edits.push_back(DeltaEdit::LinkLatencyChange(
+            link.name, std::max<int64_t>(1'000'000, link.bandwidth_bps / 2), -1));
+      } else {
+        const std::vector<TaskSpec>& tasks = current->workload.tasks();
+        const TaskSpec& task = tasks[rng.NextBelow(tasks.size())];
+        delta.edits.push_back(DeltaEdit::TaskReweight(
+            task.name, static_cast<Criticality>(rng.NextBelow(kCriticalityLevels))));
+      }
+      System& next = generations.emplace_back();
+      if (!ApplyDelta(current->topo, current->workload, delta, &next.topo, &next.workload)
+               .ok()) {
+        generations.pop_back();
+        continue;
+      }
+      next.MakePlanner(config);
+      StrategyBuilder next_builder(next.planner.get(), config.planner_threads);
+      auto next_strategy = next_builder.Build();
+      if (!next_strategy.ok()) {
+        break;
+      }
+      const std::string next_blob = Blob(*next_strategy, *next.planner);
+      empty_bodies += ExpectRolloutMatchesSingleEncodes(
+          blob, next_blob, "seed " + std::to_string(seed) + " edit " + std::to_string(step));
+      ++updates;
+      blob = next_blob;
+      current = &next;
+    }
+  }
+  EXPECT_GE(updates, 12u);
+  // Some node keeps no T row in some body, so that case is exercised.
+  EXPECT_GT(empty_bodies, 0u);
+}
+
+// An edit_rollout-shaped stream: avionics with 8 flight computers (12
+// nodes), f=2, backbone remeasures plus a backboneB remove / re-add, each
+// edit rebuilt incrementally. The first update's images are pinned by
+// digest, so the one-pass encoder also stays byte-equal across commits.
+TEST(StrategyBinaryRollout, AvionicsEditStreamMatchesSingleImageEncodes) {
+  auto scenario = MakeNamedScenario("avionics", 8, 1);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  BtrConfig config;
+  config.planner.max_faults = 2;
+  config.planner.recovery_bound = Milliseconds(500);
+  config.runtime.heartbeats = false;
+  BtrSystem system(*scenario, config);
+  ASSERT_TRUE(system.Plan().ok());
+  const auto blob = [&system] {
+    return SaveStrategy(system.strategy(), system.planner().graph(),
+                        system.scenario().topology);
+  };
+  std::vector<NodeId> all_nodes;
+  for (uint32_t n = 0; n < 12; ++n) {
+    all_nodes.push_back(NodeId(n));
+  }
+  const std::vector<DeltaEdit> edits = {
+      DeltaEdit::LinkLatencyChange("backboneB", 50'000'000, Microseconds(4)),
+      DeltaEdit::LinkLatencyChange("backboneA", 80'000'000, Microseconds(5)),
+      DeltaEdit::LinkRemove("backboneB"),
+      DeltaEdit::LinkAdd("backboneB", all_nodes, 100'000'000, Microseconds(2)),
+  };
+  size_t empty_bodies = 0;
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const std::string base = blob();
+    StrategyDelta delta;
+    delta.edits.push_back(edits[i]);
+    ASSERT_TRUE(system.ApplyDelta(delta).ok()) << "edit " << i;
+    const std::string target = blob();
+    empty_bodies += ExpectRolloutMatchesSingleEncodes(base, target, "edit " + std::to_string(i));
+    if (i == 0) {
+      auto update = BuildStrategyUpdate(base, target, StrategyWireFormat::kV4Binary);
+      ASSERT_TRUE(update.ok());
+      std::string images = update->target_blob + update->patch_full;
+      for (uint32_t n = 0; n < update->full_slices.size(); ++n) {
+        images += update->full_slices[n] + update->patch_slices[n];
+      }
+      EXPECT_EQ(HashString(images), kAvionicsFirstUpdateDigest)
+          << std::hex << HashString(images);
+    }
+  }
+  EXPECT_GT(empty_bodies, 0u);
+}
+
+// A body whose T rows for one node are split into several runs: the slice
+// text holds them as one run, and the one-pass encoder must concatenate
+// them as a parse of that text would.
+TEST(StrategyBinaryRollout, SplitTableRunsMatchSingleImageEncodes) {
+  const PlannerConfig config = SmallConfig(1);
+  std::deque<System> generations;
+  System* sys = MakeBaseSystem(&generations, config);
+  StrategyBuilder builder(sys->planner.get(), config.planner_threads);
+  auto strategy = builder.Build();
+  ASSERT_TRUE(strategy.ok());
+  const std::string base = Blob(*strategy, *sys->planner);
+
+  // In the first body whose first node has two or more T rows and is not
+  // the last node, move that node's first row to the end of the T rows.
+  const auto node_of = [](const std::string& row) { return row.substr(0, row.find(' ', 2)); };
+  std::string target;
+  bool moved = false;
+  size_t pos = 0;
+  std::vector<std::string> t_rows;
+  while (pos < base.size()) {
+    const size_t nl = base.find('\n', pos);
+    const std::string line = base.substr(pos, nl - pos + 1);
+    pos = nl + 1;
+    if (!moved && line.rfind("T ", 0) == 0) {
+      t_rows.push_back(line);
+      continue;
+    }
+    if (!t_rows.empty()) {
+      if (t_rows.size() >= 3 && node_of(t_rows[0]) == node_of(t_rows[1]) &&
+          node_of(t_rows[0]) != node_of(t_rows.back())) {
+        t_rows.push_back(t_rows.front());
+        t_rows.erase(t_rows.begin());
+        moved = true;
+      }
+      for (const std::string& row : t_rows) {
+        target += row;
+      }
+      t_rows.clear();
+    }
+    target += line;
+  }
+  ASSERT_TRUE(moved);
+  ASSERT_NE(target, base);
+  ExpectRolloutMatchesSingleEncodes(base, target, "split runs");
+}
+
+// The self-check is live: an image that does not decode to the text it was
+// encoded for never ships.
+TEST(StrategyBinaryRollout, SelfCheckRejectsMismatchedTexts) {
+  const PlannerConfig config = SmallConfig(1);
+  std::deque<System> generations;
+  System* sys = MakeBaseSystem(&generations, config);
+  StrategyBuilder builder(sys->planner.get(), config.planner_threads);
+  auto strategy = builder.Build();
+  ASSERT_TRUE(strategy.ok());
+  const std::string base = Blob(*strategy, *sys->planner);
+  StrategyDelta delta;
+  delta.edits.push_back(DeltaEdit::LinkRemove("xlink"));
+  System& next = generations.emplace_back();
+  ASSERT_TRUE(ApplyDelta(sys->topo, sys->workload, delta, &next.topo, &next.workload).ok());
+  next.MakePlanner(config);
+  StrategyBuilder next_builder(next.planner.get(), config.planner_threads);
+  auto next_strategy = next_builder.Build();
+  ASSERT_TRUE(next_strategy.ok());
+  const std::string target = Blob(*next_strategy, *next.planner);
+
+  auto update = BuildStrategyUpdate(base, target, StrategyWireFormat::kV2Text);
+  auto patch = MakeStrategyPatch(base, target);
+  ASSERT_TRUE(update.ok() && patch.ok());
+  const fmt::RolloutArtifacts texts{update->target_blob, update->patch_full,
+                                    update->full_slices, update->patch_slices};
+  ASSERT_TRUE(fmt::EncodeRolloutImages(*patch, texts).ok());
+
+  fmt::RolloutArtifacts swapped_slice = texts;
+  std::swap(swapped_slice.slices[0], swapped_slice.slices[1]);
+  auto images = fmt::EncodeRolloutImages(*patch, swapped_slice);
+  ASSERT_FALSE(images.ok());
+  EXPECT_EQ(images.status().code(), StatusCode::kInternal);
+
+  fmt::RolloutArtifacts swapped_patch = texts;
+  std::swap(swapped_patch.patch_slices[0], swapped_patch.patch_slices[1]);
+  images = fmt::EncodeRolloutImages(*patch, swapped_patch);
+  ASSERT_FALSE(images.ok());
+  EXPECT_EQ(images.status().code(), StatusCode::kInternal);
+
+  fmt::RolloutArtifacts short_list = texts;
+  short_list.slices.pop_back();
+  EXPECT_FALSE(fmt::EncodeRolloutImages(*patch, short_list).ok());
 }
 
 // --- spec plumbing (pace-fraction=, wire=) ----------------------------------
